@@ -70,7 +70,6 @@ from .quality import POLICIES, IngestReport, QualityConfig
 from .trajectory.formats import load_geolife_user_report, load_tdrive_directory_report
 from .trajectory.geo import project_database
 from .trajectory.io import (
-    database_from_records,
     load_csv,
     load_csv_report,
     load_jsonl_report,
@@ -809,7 +808,10 @@ def _command_ingest(args: argparse.Namespace) -> int:
         if args.geo:
             quality = quality.with_geo_defaults()
         result = run_pipeline(replay_records(path), quality, source=f"{path} (replay)")
-        database, report = database_from_records(result.records), result.report
+        report = result.report
+        database = TrajectoryDatabase.from_columns(
+            result.object_id, result.t, result.x, result.y
+        )
     else:
         database, report = _load_report(path, args.format, quality)
     print(f"source            : {report.source} (policy={report.policy})")

@@ -5,13 +5,15 @@ coordinates, duplicated and out-of-order timestamps, teleporting fixes.
 This package is the single validation + repair boundary every ingest path
 runs through before records reach the miners:
 
-* :mod:`repro.quality.rules` — the reason-code vocabulary and the
-  record-level checks;
+* :mod:`repro.quality.rules` — the reason-code vocabulary, the
+  parse-stage record and the speed-gate distance;
 * :mod:`repro.quality.config` — :class:`QualityConfig`, the policy /
   threshold knobs (``strict`` / ``lenient`` / ``repair``);
+* :mod:`repro.quality.columns` — :class:`~repro.quality.columns.RecordColumns`,
+  one load's raw records as numpy columns (the pipeline's input);
 * :mod:`repro.quality.pipeline` — :func:`run_pipeline`, the policy-driven
-  validator that turns raw records into clean ones plus an
-  :class:`IngestReport`;
+  validator that runs the rules as columnar passes and turns raw records
+  into clean ones plus an :class:`IngestReport`;
 * :mod:`repro.quality.report` — the fully-accounted ingest report
   (``accepted + dropped + repaired == total``, always);
 * :mod:`repro.quality.quarantine` — the dead-letter sink for rejected raw

@@ -5,17 +5,17 @@ from the vocabulary below; the :class:`~repro.quality.report.IngestReport`
 aggregates per-code counts, and the quarantine sink stores the code next to
 the raw record so a dead-letter file explains itself.
 
-The checks here are the *stateless* (single-record) ones.  Sequence rules —
-duplicate / non-monotone timestamps, teleport detection, minimum samples per
-object — need per-object state and live in
-:mod:`repro.quality.pipeline`.
+The rules themselves run as columnar passes in
+:mod:`repro.quality.pipeline`; this module holds what they share with the
+per-point streaming gate: the vocabulary, the parse-stage record and the
+speed-gate distance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 __all__ = [
     "REASONS",
@@ -28,7 +28,6 @@ __all__ = [
     "TELEPORT",
     "TOO_FEW_SAMPLES",
     "RawRecord",
-    "point_violation",
     "travel_distance",
 ]
 
@@ -93,30 +92,6 @@ class RawRecord:
             and self.x is not None
             and self.y is not None
         )
-
-
-def point_violation(
-    record: RawRecord, bounds: Optional[Tuple[float, float, float, float]]
-) -> Optional[str]:
-    """The stateless reason code violated by ``record``, if any.
-
-    Checks run in :data:`REASONS` order: parse-stage errors win, then
-    finiteness, then the ``(min_x, min_y, max_x, max_y)`` bounding box
-    (inclusive; ``None`` disables the bounds check).
-    """
-    if record.error is not None:
-        return record.error
-    if not record.is_parsed():
-        return SCHEMA
-    if not (
-        math.isfinite(record.t) and math.isfinite(record.x) and math.isfinite(record.y)
-    ):
-        return NON_FINITE
-    if bounds is not None:
-        min_x, min_y, max_x, max_y = bounds
-        if not (min_x <= record.x <= max_x and min_y <= record.y <= max_y):
-            return OUT_OF_BOUNDS
-    return None
 
 
 def travel_distance(

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
-from ..geometry.point import Point
+import numpy as np
+
 from ..quality import IngestReport, QualityConfig, RawRecord, run_pipeline
-from ..quality.pipeline import CleanRecord
-from ..quality.rules import PARSE, SCHEMA
+from ..quality.columns import NO_ERROR, RecordColumns, object_id_column
+from ..quality.rules import PARSE, REASONS, SCHEMA
 from .trajectory import TrajectoryDatabase
 
 __all__ = [
@@ -42,13 +44,19 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
+#: Lines of CSV the reader parses at a time.  Large enough that the numpy
+#: calls per block are cheap per row, small enough that a block's field
+#: strings stay a few megabytes.
+_BLOCK_LINES = 16384
 
-def database_from_records(records: List[CleanRecord]) -> TrajectoryDatabase:
-    """Assemble clean firewall output into a :class:`TrajectoryDatabase`."""
-    database = TrajectoryDatabase()
-    for object_id, t, x, y in records:
-        database.add_sample(object_id, t, Point(x, y))
-    return database
+#: The CSV columns the reader needs, in ``RecordColumns`` order.
+_CSV_FIELDS = ("object_id", "t", "x", "y")
+
+#: Strings per retry when a whole column fails to convert in one call.
+_CHUNK = 64
+
+_SCHEMA = REASONS.index(SCHEMA)
+_PARSE = REASONS.index(PARSE)
 
 
 def save_csv(database: TrajectoryDatabase, path: PathLike) -> None:
@@ -62,34 +70,208 @@ def save_csv(database: TrajectoryDatabase, path: PathLike) -> None:
                 writer.writerow([trajectory.object_id, t, point.x, point.y])
 
 
-def _csv_records(path: Path) -> Iterator[RawRecord]:
-    """Parse-stage reader: one :class:`RawRecord` per CSV data row."""
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        required = {"object_id", "t", "x", "y"}
-        if header is None or not required.issubset(header):
-            raise ValueError(f"CSV file {path} must contain columns {sorted(required)}")
-        columns = {name: header.index(name) for name in required}
-        width = len(header)
-        for index, row in enumerate(reader):
-            if not row:
-                continue
-            raw = ",".join(row)
-            if len(row) != width:
-                yield RawRecord(index=index, raw=raw, error=SCHEMA)
-                continue
+def _strip_eol(line: str) -> str:
+    """``line`` without its line terminator (``\r\n``, ``\n`` or ``\r``)."""
+    if line.endswith("\r\n"):
+        return line[:-2]
+    if line.endswith(("\n", "\r")):
+        return line[:-1]
+    return line
+
+
+def _convert(strings: List[str], integer: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """One column of field strings as int64 / float64, exactly as ``int`` /
+    ``float`` read them: ``(values, parsed)``, ``parsed`` ``None`` when every
+    string converted.
+
+    The whole column converts in one numpy call.  Only when that fails is
+    it redone in chunks of :data:`_CHUNK`, and only a chunk that fails too
+    element by element; an object id too large for int64 makes the column
+    an object column.
+    """
+    dtype = np.int64 if integer else np.float64
+    try:
+        return np.array(strings, dtype=dtype), None
+    except (ValueError, OverflowError):
+        pass
+    cast = int if integer else float
+    values: list = []
+    parsed: List[bool] = []
+    for start in range(0, len(strings), _CHUNK):
+        chunk = strings[start : start + _CHUNK]
+        try:
+            values.extend(np.array(chunk, dtype=dtype).tolist())
+            parsed.extend([True] * len(chunk))
+            continue
+        except (ValueError, OverflowError):
+            pass
+        for text in chunk:
             try:
-                yield RawRecord(
-                    index=index,
-                    raw=raw,
-                    object_id=int(row[columns["object_id"]]),
-                    t=float(row[columns["t"]]),
-                    x=float(row[columns["x"]]),
-                    y=float(row[columns["y"]]),
-                )
+                values.append(cast(text))
+                parsed.append(True)
             except ValueError:
-                yield RawRecord(index=index, raw=raw, error=PARSE)
+                values.append(0)
+                parsed.append(False)
+    column = object_id_column(values) if integer else np.asarray(values, dtype=np.float64)
+    return column, np.asarray(parsed, dtype=bool)
+
+
+def _block_columns(
+    wellformed: np.ndarray,
+    fields: List[str],
+    width: int,
+    positions: Tuple[int, ...],
+) -> Tuple[np.ndarray, ...]:
+    """One block's records as ``(error, object_id, t, x, y)`` columns.
+
+    ``fields`` holds the split fields of the well-formed records, ``width``
+    per record; every other record is a schema failure.
+    """
+    count = len(wellformed)
+    error = np.where(wellformed, NO_ERROR, _SCHEMA).astype(np.int8)
+    good = np.flatnonzero(wellformed)
+    columns = []
+    failed = np.zeros(len(good), dtype=bool)
+    for column, position in enumerate(positions):
+        values, parsed = _convert(fields[position::width], integer=column == 0)
+        if parsed is not None:
+            failed |= ~parsed
+        if column == 0:
+            full = np.zeros(count, dtype=values.dtype)
+        else:
+            full = np.full(count, np.nan)
+        full[good] = values
+        columns.append(full)
+    if failed.any():
+        bad = good[failed]
+        error[bad] = _PARSE
+        for column in columns[1:]:
+            column[bad] = np.nan
+    return (error, *columns)
+
+
+def _split_block(text: str, width: int):
+    """Rows of a block with no quote and no lone CR, one comma count each.
+
+    Returns ``(rows used, kept row numbers, raw rows, well-formed, fields)``;
+    blank lines use a row number but are not records.
+    """
+    rows = text.split("\n")
+    if text.endswith("\n"):
+        rows.pop()
+    commas = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.int64, count=len(rows))
+    wellformed = commas == width - 1
+    numbers = np.arange(len(rows), dtype=np.int64)
+    used = len(rows)
+    blank = [p for p in np.flatnonzero(commas == 0).tolist() if not rows[p]]
+    if blank:
+        keep = np.ones(len(rows), dtype=bool)
+        keep[blank] = False
+        rows = list(compress(rows, keep))
+        wellformed = wellformed[keep]
+        numbers = numbers[keep]
+    if wellformed.all():
+        fields = ",".join(rows).split(",")
+    else:
+        fields = ",".join(compress(rows, wellformed)).split(",")
+    return used, numbers, rows, wellformed, fields
+
+
+def _exact_block(lines: List[str], more: Iterator[str], width: int):
+    """Rows of a block parsed with :mod:`csv` semantics (quotes, lone CRs).
+
+    A quoted field may run past the block's last line; the continuation
+    lines are pulled from ``more``.  Each record's raw text is its original
+    lines without the final terminator.  Returns the same tuple as
+    :func:`_split_block`.
+    """
+    consumed: List[str] = []
+    pulled = 0
+
+    def feed() -> Iterator[str]:
+        nonlocal pulled
+        for line in chain(lines, more):
+            consumed.append(line)
+            pulled += 1
+            yield line
+
+    reader = csv.reader(feed())
+    numbers: List[int] = []
+    raws: List[str] = []
+    wellformed: List[bool] = []
+    fields: List[str] = []
+    used = 0
+    while pulled < len(lines):
+        row = next(reader)
+        raw = _strip_eol("".join(consumed))
+        consumed.clear()
+        used += 1
+        if not row:
+            continue
+        numbers.append(used - 1)
+        raws.append(raw)
+        wellformed.append(len(row) == width)
+        if len(row) == width:
+            fields.extend(row)
+    return (
+        used,
+        np.asarray(numbers, dtype=np.int64),
+        raws,
+        np.asarray(wellformed, dtype=bool),
+        fields,
+    )
+
+
+def _csv_columns(path: Path, keep_raw: bool) -> RecordColumns:
+    """Parse stage of the CSV loader: the whole file as record columns.
+
+    One record per CSV data row (blank rows use a row number but are not
+    records).  The file is read :data:`_BLOCK_LINES` lines at a time; a
+    block's rows are comma-counted once each, its well-formed rows are
+    split in one call and converted a whole column at a time.  Blocks that
+    contain a quote or a lone carriage return are parsed row by row with
+    :mod:`csv`, so quoting rules and reason codes are those of
+    :func:`csv.reader` throughout.
+    """
+    parts: List[Tuple[np.ndarray, ...]] = []
+    raw: Optional[List[str]] = [] if keep_raw else None
+    with path.open(newline="") as handle:
+        header = next(csv.reader(handle), None)
+        if header is None or not set(_CSV_FIELDS).issubset(header):
+            raise ValueError(f"CSV file {path} must contain columns {sorted(_CSV_FIELDS)}")
+        width = len(header)
+        positions = tuple(header.index(name) for name in _CSV_FIELDS)
+        first_index = 0
+        while True:
+            lines = list(islice(handle, _BLOCK_LINES))
+            if not lines:
+                break
+            text = "".join(lines)
+            if "\r" in text:
+                text = text.replace("\r\n", "\n")
+            if '"' in text or "\r" in text:
+                used, numbers, raws, wellformed, fields = _exact_block(lines, handle, width)
+            else:
+                used, numbers, raws, wellformed, fields = _split_block(text, width)
+            parts.append(
+                (first_index + numbers, *_block_columns(wellformed, fields, width, positions))
+            )
+            if raw is not None:
+                raw.extend(raws)
+            first_index += used
+    if not parts:
+        parts.append((np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0, np.int64),
+                      *(np.empty(0) for _ in range(3))))
+    index, error, object_id, t, x, y = (np.concatenate(column) for column in zip(*parts))
+    return RecordColumns(
+        index=index,
+        error=error,
+        object_id=object_id,
+        t=t,
+        x=x,
+        y=y,
+        raw=raw,
+    )
 
 
 def load_csv_report(
@@ -97,8 +279,12 @@ def load_csv_report(
 ) -> Tuple[TrajectoryDatabase, IngestReport]:
     """Read ``object_id,t,x,y`` rows through the firewall; database + report."""
     path = Path(path)
-    result = run_pipeline(_csv_records(path), quality, source=str(path))
-    return database_from_records(result.records), result.report
+    quality = quality or QualityConfig()
+    # Raw text is only ever read back for quarantine entries and strict errors.
+    keep_raw = quality.quarantine_path is not None or quality.policy == "strict"
+    result = run_pipeline(_csv_columns(path, keep_raw), quality, source=str(path))
+    database = TrajectoryDatabase.from_columns(result.object_id, result.t, result.x, result.y)
+    return database, result.report
 
 
 def load_csv(path: PathLike, quality: Optional[QualityConfig] = None) -> TrajectoryDatabase:
@@ -173,7 +359,8 @@ def load_jsonl_report(
     """Read a :func:`save_jsonl` file through the firewall; database + report."""
     path = Path(path)
     result = run_pipeline(_jsonl_records(path), quality, source=str(path))
-    return database_from_records(result.records), result.report
+    database = TrajectoryDatabase.from_columns(result.object_id, result.t, result.x, result.y)
+    return database, result.report
 
 
 def load_jsonl(path: PathLike, quality: Optional[QualityConfig] = None) -> TrajectoryDatabase:

@@ -11,7 +11,7 @@ using the linear-interpolation model of Section II.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,9 +70,17 @@ class PositionArena:
         return int(self.offsets[index]), int(self.offsets[index + 1])
 
 
-@dataclass
 class Trajectory:
     """A single moving object's trajectory.
+
+    A trajectory holds its samples in one of two forms and converts on
+    demand: a list of ``(time, Point)`` pairs (:attr:`samples`, what the
+    scalar paths and incremental appends use) or one ``(n, 3)`` float64
+    ``(t, x, y)`` array (:meth:`sample_triples`, what the numpy phase-1
+    path reads).  A trajectory built by :meth:`from_array` — every load
+    through the ingest firewall — keeps only the array until something
+    asks for :attr:`samples`, so the numpy path never creates a
+    :class:`~repro.geometry.point.Point`.
 
     Attributes
     ----------
@@ -82,25 +90,54 @@ class Trajectory:
         Chronologically sorted ``(time, Point)`` pairs.
     """
 
-    object_id: int
-    samples: List[Tuple[float, Point]] = field(default_factory=list)
-    #: Cached (t, x, y) array view of samples; rebuilt when the sample count
-    #: changes (excluded from equality/repr).
-    _triples: Optional["np.ndarray"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(
+        self, object_id: int, samples: Optional[Iterable[Tuple[float, Point]]] = None
+    ) -> None:
+        self.object_id = object_id
+        #: The ``(time, Point)`` list; ``None`` while only the array exists.
+        self._samples: Optional[List[Tuple[float, Point]]] = sorted(
+            samples or (), key=lambda s: s[0]
+        )
+        #: The ``(n, 3)`` array; a cache of :attr:`_samples` when that is
+        #: set (rebuilt when the sample count changes), else the only copy.
+        self._triples: Optional[np.ndarray] = None
 
-    def __post_init__(self) -> None:
-        self.samples = sorted(self.samples, key=lambda s: s[0])
+    @classmethod
+    def from_array(cls, object_id: int, triples: np.ndarray) -> "Trajectory":
+        """Wrap an ``(n, 3)`` ``(t, x, y)`` array already sorted by time."""
+        trajectory = cls.__new__(cls)
+        trajectory.object_id = object_id
+        trajectory._samples = None
+        trajectory._triples = triples
+        return trajectory
+
+    @property
+    def samples(self) -> List[Tuple[float, Point]]:
+        """Chronologically sorted ``(time, Point)`` pairs (built on first use)."""
+        if self._samples is None:
+            self._samples = [
+                (t, Point(x, y)) for t, x, y in self._triples.tolist()
+            ]
+        return self._samples
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return self.object_id == other.object_id and self.samples == other.samples
+
+    def __repr__(self) -> str:
+        return f"Trajectory(object_id={self.object_id!r}, samples={self.samples!r})"
 
     # -- construction -------------------------------------------------------
     def add_sample(self, t: float, point: Point) -> None:
         """Append a sample, keeping the sequence sorted by time."""
-        if self.samples and t >= self.samples[-1][0]:
-            self.samples.append((t, point))
+        samples = self._samples if self._samples is not None else self.samples
+        self._triples = None
+        if samples and t >= samples[-1][0]:
+            samples.append((t, point))
         else:
-            self.samples.append((t, point))
-            self.samples.sort(key=lambda s: s[0])
+            samples.append((t, point))
+            samples.sort(key=lambda s: s[0])
 
     @classmethod
     def from_coordinates(
@@ -112,25 +149,31 @@ class Trajectory:
 
     # -- basic properties ---------------------------------------------------
     def __len__(self) -> int:
-        return len(self.samples)
+        if self._samples is None:
+            return len(self._triples)
+        return len(self._samples)
 
     def __iter__(self) -> Iterator[Tuple[float, Point]]:
         return iter(self.samples)
 
     def is_empty(self) -> bool:
-        return not self.samples
+        return len(self) == 0
 
     @property
     def start_time(self) -> float:
-        if not self.samples:
+        if self.is_empty():
             raise ValueError("empty trajectory has no start time")
-        return self.samples[0][0]
+        if self._samples is None:
+            return float(self._triples[0, 0])
+        return self._samples[0][0]
 
     @property
     def end_time(self) -> float:
-        if not self.samples:
+        if self.is_empty():
             raise ValueError("empty trajectory has no end time")
-        return self.samples[-1][0]
+        if self._samples is None:
+            return float(self._triples[-1, 0])
+        return self._samples[-1][0]
 
     @property
     def lifespan(self) -> Tuple[float, float]:
@@ -142,7 +185,9 @@ class Trajectory:
         return self.end_time - self.start_time
 
     def timestamps(self) -> List[float]:
-        return [t for t, _ in self.samples]
+        if self._samples is None:
+            return self._triples[:, 0].tolist()
+        return [t for t, _ in self._samples]
 
     def points(self) -> List[Point]:
         return [p for _, p in self.samples]
@@ -155,9 +200,10 @@ class Trajectory:
         re-convert unchanged trajectories.
         """
         cached = self._triples
-        if cached is None or len(cached) != len(self.samples):
+        samples = self._samples
+        if cached is None or (samples is not None and len(cached) != len(samples)):
             cached = np.asarray(
-                [(t, p.x, p.y) for t, p in self.samples], dtype=float
+                [(t, p.x, p.y) for t, p in samples], dtype=float
             ).reshape(-1, 3)
             self._triples = cached
         return cached
@@ -209,6 +255,37 @@ class TrajectoryDatabase:
         if trajectories:
             for traj in trajectories:
                 self.add(traj)
+
+    @classmethod
+    def from_columns(
+        cls, object_ids: np.ndarray, t: np.ndarray, x: np.ndarray, y: np.ndarray
+    ) -> "TrajectoryDatabase":
+        """Build a database from one sample per row, without creating points.
+
+        Equivalent to calling :meth:`add_sample` row by row: objects appear
+        in order of their first row, and each object's samples are sorted by
+        time, stably (equal times keep row order).  Every trajectory keeps
+        its samples as one ``(n, 3)`` array (:meth:`Trajectory.from_array`).
+        """
+        database = cls()
+        if not len(object_ids):
+            return database
+        ids, first, code = np.unique(object_ids, return_index=True, return_inverse=True)
+        # Rank objects by first appearance, then sort rows by (rank, t, row).
+        appearance = np.argsort(first, kind="stable")
+        rank = np.empty_like(appearance)
+        rank[appearance] = np.arange(len(ids))
+        row_rank = rank[code.ravel()]
+        order = np.lexsort((t, row_rank))
+        triples = np.stack((t[order], x[order], y[order]), axis=1)
+        bounds = np.searchsorted(row_rank[order], np.arange(len(ids) + 1)).tolist()
+        id_list = ids.tolist()
+        for position, index in enumerate(appearance.tolist()):
+            object_id = id_list[index]
+            database._trajectories[object_id] = Trajectory.from_array(
+                object_id, triples[bounds[position] : bounds[position + 1]]
+            )
+        return database
 
     # -- container protocol --------------------------------------------------
     def __len__(self) -> int:

@@ -20,19 +20,25 @@ shows up as a diff::
     python tools/ingest_goldens.py OUT_DIR
     diff -r OUT_DIR tests/fixtures/ingest/expected
 
-The script runs the CLI from the repository root with repository-relative
-input paths, so the ``source`` field of every report is stable.
+The CLI runs in this process, from the repository root and with
+repository-relative input paths, so the ``source`` field of every report
+is stable.
 """
 
 from __future__ import annotations
 
+import io
 import os
-import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.cli import main as repro_main  # noqa: E402
+
 FIXTURES = "tests/fixtures/ingest"
 
 #: (case stem, --format, --input relative to the repository root, the
@@ -48,7 +54,7 @@ INPUTS: List[Tuple[str, str, str, str]] = [
 POLICIES = ("strict", "lenient", "repair")
 
 
-def cases():
+def cases() -> Iterator[Tuple[str, List[str]]]:
     """Every ``(case name, argv)`` the goldens cover, in a fixed order."""
     for stem, fmt, path, max_speed in INPUTS:
         for policy in POLICIES:
@@ -61,36 +67,34 @@ def cases():
 
 def write_outputs(out_dir: Path) -> None:
     """Run every case and write its ``.txt`` (and ``.json``) into ``out_dir``."""
+    out_dir = Path(out_dir).resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    for name, argv in cases():
-        report = out_dir / f"{name}.json"
-        if report.exists():
-            report.unlink()
-        done = subprocess.run(
-            [sys.executable, "-m", "repro", *argv, "--ingest-report", str(report)],
-            cwd=REPO_ROOT,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        stdout = "".join(
-            line for line in done.stdout.splitlines(keepends=True)
-            if not line.startswith("wrote ")
-        )
-        (out_dir / f"{name}.txt").write_text(
-            f"exit: {done.returncode}\n--- stdout\n{stdout}--- stderr\n{done.stderr}"
-        )
+    cwd = os.getcwd()
+    os.chdir(REPO_ROOT)
+    try:
+        for name, argv in cases():
+            report = out_dir / f"{name}.json"
+            if report.exists():
+                report.unlink()
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = repro_main(argv + ["--ingest-report", str(report)])
+            printed = "".join(
+                line for line in stdout.getvalue().splitlines(keepends=True)
+                if not line.startswith("wrote ")
+            )
+            (out_dir / f"{name}.txt").write_text(
+                f"exit: {code}\n--- stdout\n{printed}--- stderr\n{stderr.getvalue()}"
+            )
+    finally:
+        os.chdir(cwd)
 
 
 def main(argv: List[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    write_outputs(Path(argv[0]).resolve())
+    write_outputs(Path(argv[0]))
     return 0
 
 
