@@ -131,8 +131,10 @@ class Trajectory:
     # -- construction -------------------------------------------------------
     def add_sample(self, t: float, point: Point) -> None:
         """Append a sample, keeping the sequence sorted by time."""
-        samples = self._samples if self._samples is not None else self.samples
-        self._triples = None
+        samples = self._samples
+        if samples is None:
+            samples = self.samples
+        # The cached array goes stale; sample_triples() sees the new length.
         if samples and t >= samples[-1][0]:
             samples.append((t, point))
         else:
@@ -149,9 +151,8 @@ class Trajectory:
 
     # -- basic properties ---------------------------------------------------
     def __len__(self) -> int:
-        if self._samples is None:
-            return len(self._triples)
-        return len(self._samples)
+        samples = self._samples
+        return len(self._triples) if samples is None else len(samples)
 
     def __iter__(self) -> Iterator[Tuple[float, Point]]:
         return iter(self.samples)
@@ -161,19 +162,21 @@ class Trajectory:
 
     @property
     def start_time(self) -> float:
-        if self.is_empty():
-            raise ValueError("empty trajectory has no start time")
-        if self._samples is None:
+        samples = self._samples
+        if samples:
+            return samples[0][0]
+        if samples is None and len(self._triples):
             return float(self._triples[0, 0])
-        return self._samples[0][0]
+        raise ValueError("empty trajectory has no start time")
 
     @property
     def end_time(self) -> float:
-        if self.is_empty():
-            raise ValueError("empty trajectory has no end time")
-        if self._samples is None:
+        samples = self._samples
+        if samples:
+            return samples[-1][0]
+        if samples is None and len(self._triples):
             return float(self._triples[-1, 0])
-        return self._samples[-1][0]
+        raise ValueError("empty trajectory has no end time")
 
     @property
     def lifespan(self) -> Tuple[float, float]:
