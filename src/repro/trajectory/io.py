@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
@@ -178,12 +179,14 @@ def _split_block(text: str, width: int):
 
 
 def _exact_block(lines: List[str], more: Iterator[str], width: int):
-    """Rows of a block parsed with :mod:`csv` semantics (quotes, lone CRs).
+    """Rows of a block parsed with :mod:`csv` semantics (quotes, lone CRs, NULs).
 
     A quoted field may run past the block's last line; the continuation
     lines are pulled from ``more``.  Each record's raw text is its original
-    lines without the final terminator.  Returns the same tuple as
-    :func:`_split_block`.
+    lines without the final terminator.  Returns the tuple of
+    :func:`_split_block` plus the :class:`csv.Error` of a row the reader
+    cannot read (``None`` if there is none); the rows before that row are
+    returned, the rest of the block is not.
     """
     consumed: List[str] = []
     pulled = 0
@@ -201,8 +204,13 @@ def _exact_block(lines: List[str], more: Iterator[str], width: int):
     wellformed: List[bool] = []
     fields: List[str] = []
     used = 0
+    unreadable: Optional[csv.Error] = None
     while pulled < len(lines):
-        row = next(reader)
+        try:
+            row = next(reader)
+        except csv.Error as error:
+            unreadable = error
+            break
         raw = _strip_eol("".join(consumed))
         consumed.clear()
         used += 1
@@ -219,19 +227,22 @@ def _exact_block(lines: List[str], more: Iterator[str], width: int):
         raws,
         np.asarray(wellformed, dtype=bool),
         fields,
+        unreadable,
     )
 
 
-def _csv_columns(path: Path, keep_raw: bool) -> RecordColumns:
+def _csv_columns(path: Path, keep_raw: bool) -> Tuple[RecordColumns, Optional[csv.Error]]:
     """Parse stage of the CSV loader: the whole file as record columns.
 
     One record per CSV data row (blank rows use a row number but are not
     records).  The file is read :data:`_BLOCK_LINES` lines at a time; a
     block's rows are comma-counted once each, its well-formed rows are
     split in one call and converted a whole column at a time.  Blocks that
-    contain a quote or a lone carriage return are parsed row by row with
-    :mod:`csv`, so quoting rules and reason codes are those of
-    :func:`csv.reader` throughout.
+    contain a quote, a lone carriage return or a NUL are parsed row by row
+    with :mod:`csv`, so quoting rules, reason codes and the rows the reader
+    rejects (a NUL before Python 3.11) are those of :func:`csv.reader`
+    throughout.  Parsing stops at a rejected row: the columns hold the rows
+    before it, and its :class:`csv.Error` is returned alongside.
     """
     parts: List[Tuple[np.ndarray, ...]] = []
     raw: Optional[List[str]] = [] if keep_raw else None
@@ -242,15 +253,17 @@ def _csv_columns(path: Path, keep_raw: bool) -> RecordColumns:
         width = len(header)
         positions = tuple(header.index(name) for name in _CSV_FIELDS)
         first_index = 0
-        while True:
+        unreadable: Optional[csv.Error] = None
+        while unreadable is None:
             lines = list(islice(handle, _BLOCK_LINES))
             if not lines:
                 break
             text = "".join(lines)
             if "\r" in text:
                 text = text.replace("\r\n", "\n")
-            if '"' in text or "\r" in text:
-                used, numbers, raws, wellformed, fields = _exact_block(lines, handle, width)
+            if '"' in text or "\r" in text or "\0" in text:
+                *block, unreadable = _exact_block(lines, handle, width)
+                used, numbers, raws, wellformed, fields = block
             else:
                 used, numbers, raws, wellformed, fields = _split_block(text, width)
             parts.append(
@@ -263,7 +276,7 @@ def _csv_columns(path: Path, keep_raw: bool) -> RecordColumns:
         parts.append((np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0, np.int64),
                       *(np.empty(0) for _ in range(3))))
     index, error, object_id, t, x, y = (np.concatenate(column) for column in zip(*parts))
-    return RecordColumns(
+    columns = RecordColumns(
         index=index,
         error=error,
         object_id=object_id,
@@ -272,6 +285,7 @@ def _csv_columns(path: Path, keep_raw: bool) -> RecordColumns:
         y=y,
         raw=raw,
     )
+    return columns, unreadable
 
 
 def load_csv_report(
@@ -282,7 +296,15 @@ def load_csv_report(
     quality = quality or QualityConfig()
     # Raw text is only ever read back for quarantine entries and strict errors.
     keep_raw = quality.quarantine_path is not None or quality.policy == "strict"
-    result = run_pipeline(_csv_columns(path, keep_raw), quality, source=str(path))
+    columns, unreadable = _csv_columns(path, keep_raw)
+    if unreadable is not None:
+        # The load fails with the reader's error, unless a strict load would
+        # already have stopped on a record before the rejected row.  Only the
+        # per-record rules can decide that; the floor needs the whole file.
+        if quality.policy == "strict":
+            run_pipeline(columns, replace(quality, min_samples=1), source=str(path))
+        raise unreadable
+    result = run_pipeline(columns, quality, source=str(path))
     database = TrajectoryDatabase.from_columns(result.object_id, result.t, result.x, result.y)
     return database, result.report
 

@@ -12,6 +12,7 @@ plan, and asserts the same:
 * fault-plan hits, so a garble plan sees the same probes.
 """
 
+import csv
 import json
 import math
 
@@ -208,6 +209,61 @@ def csv_text(draw):
     return text
 
 
+def _nul_rejecting_reader(lines, *args, **kwargs):
+    """``csv.reader`` as before Python 3.11: a line with a NUL is an error."""
+
+    def checked():
+        for line in lines:
+            if "\0" in line:
+                raise csv.Error("line contains NUL")
+            yield line
+
+    return _CSV_READER(checked(), *args, **kwargs)
+
+
+_CSV_READER = csv.reader
+
+
+def assert_same_csv_load(tmp_path, text, policy):
+    """The block-wise reader and csv.reader + oracle agree on ``text``.
+
+    Either both loads succeed with the same report, database and quarantine
+    lines, or both fail: with the same strict error on the same record, or
+    both with the reader's :class:`csv.Error`.
+    """
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    sinks = {name: tmp_path / f"{name}.jsonl" for name in ("columnar", "oracle")}
+    for sink in sinks.values():
+        if sink.exists():
+            sink.unlink()
+    configs = {
+        name: QualityConfig(
+            policy=policy, max_speed=1.5, min_samples=2, bounds=PLANAR_BOUNDS,
+            quarantine_path=sink,
+        )
+        for name, sink in sinks.items()
+    }
+    try:
+        database, report = csv_io.load_csv_report(path, configs["columnar"])
+    except IngestError as error:
+        with pytest.raises(IngestError) as expected:
+            oracle_pipeline(csv_records(path), configs["oracle"], str(path))
+        assert (error.reason, error.record.index, error.record.raw) == (
+            expected.value.reason, expected.value.record.index, expected.value.record.raw
+        )
+        return
+    except csv.Error as error:
+        with pytest.raises(csv.Error) as expected:
+            oracle_pipeline(csv_records(path), configs["oracle"], str(path))
+        assert str(error) == str(expected.value)
+        return
+    oracle = oracle_pipeline(csv_records(path), configs["oracle"], str(path))
+    assert report.as_dict() == oracle.report.as_dict()
+    assert list(database) == list(database_from_records(oracle.records))
+    assert _quarantine_lines(sinks["columnar"]) == _quarantine_lines(sinks["oracle"])
+
+
 class TestCsvReaderParity:
     @pytest.mark.parametrize("block", [1, 2, 3, 16384])
     @given(text=csv_text(), policy=st.sampled_from(["strict", "lenient", "repair"]))
@@ -216,32 +272,35 @@ class TestCsvReaderParity:
     )
     def test_columnar_reader_matches_csv_module(self, tmp_path, monkeypatch, block, text, policy):
         monkeypatch.setattr(csv_io, "_BLOCK_LINES", block)
+        assert_same_csv_load(tmp_path, text, policy)
+
+    @pytest.mark.parametrize("block", [1, 3, 16384])
+    @given(text=csv_text(), policy=st.sampled_from(["strict", "lenient", "repair"]))
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_rows_the_reader_rejects_fail_both_loads_alike(
+        self, tmp_path, monkeypatch, block, text, policy
+    ):
+        # Before Python 3.11 csv.reader raises on a NUL; emulate that on any
+        # interpreter so the block-wise reader is held to both behaviours.
+        monkeypatch.setattr(csv_io, "_BLOCK_LINES", block)
+        monkeypatch.setattr(csv, "reader", _nul_rejecting_reader)
+        assert_same_csv_load(tmp_path, text, policy)
+
+    def test_a_strict_error_before_a_rejected_row_wins(self, tmp_path, monkeypatch):
+        # Rows before the rejected one are checked record by record; the
+        # floor, which needs the whole file, is not.
+        monkeypatch.setattr(csv, "reader", _nul_rejecting_reader)
+        strict = QualityConfig(policy="strict", min_samples=5)
         path = tmp_path / "trace.csv"
-        path.write_bytes(text.encode())
-        sinks = {name: tmp_path / f"{name}.jsonl" for name in ("columnar", "oracle")}
-        for sink in sinks.values():
-            if sink.exists():
-                sink.unlink()
-        configs = {
-            name: QualityConfig(
-                policy=policy, max_speed=1.5, min_samples=2, bounds=PLANAR_BOUNDS,
-                quarantine_path=sink,
-            )
-            for name, sink in sinks.items()
-        }
-        try:
-            database, report = csv_io.load_csv_report(path, configs["columnar"])
-        except IngestError as error:
-            with pytest.raises(IngestError) as expected:
-                oracle_pipeline(csv_records(path), configs["oracle"], str(path))
-            assert (error.reason, error.record.index, error.record.raw) == (
-                expected.value.reason, expected.value.record.index, expected.value.record.raw
-            )
-            return
-        oracle = oracle_pipeline(csv_records(path), configs["oracle"], str(path))
-        assert report.as_dict() == oracle.report.as_dict()
-        assert list(database) == list(database_from_records(oracle.records))
-        assert _quarantine_lines(sinks["columnar"]) == _quarantine_lines(sinks["oracle"])
+        path.write_text("object_id,t,x,y\n1,0,0,0\n1,x,0,0\n1,2,0,0\x00\n")
+        with pytest.raises(IngestError) as error:
+            csv_io.load_csv_report(path, strict)
+        assert (error.value.reason, error.value.record.index) == ("parse", 1)
+        path.write_text("object_id,t,x,y\n1,0,0,0\n1,1,0,0\n1,2,0,0\x00\n")
+        with pytest.raises(csv.Error):
+            csv_io.load_csv_report(path, strict)
 
     def test_objects_spanning_blocks(self, tmp_path, monkeypatch):
         # Interleaved objects with a violation in every block: each object's
