@@ -265,27 +265,20 @@ def assert_same_csv_load(tmp_path, text, policy):
 
 
 class TestCsvReaderParity:
+    @pytest.mark.parametrize("nul_rejected", [False, True], ids=["native", "nul-rejected"])
     @pytest.mark.parametrize("block", [1, 2, 3, 16384])
     @given(text=csv_text(), policy=st.sampled_from(["strict", "lenient", "repair"]))
     @settings(
         max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    def test_columnar_reader_matches_csv_module(self, tmp_path, monkeypatch, block, text, policy):
-        monkeypatch.setattr(csv_io, "_BLOCK_LINES", block)
-        assert_same_csv_load(tmp_path, text, policy)
-
-    @pytest.mark.parametrize("block", [1, 3, 16384])
-    @given(text=csv_text(), policy=st.sampled_from(["strict", "lenient", "repair"]))
-    @settings(
-        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-    )
-    def test_rows_the_reader_rejects_fail_both_loads_alike(
-        self, tmp_path, monkeypatch, block, text, policy
+    def test_columnar_reader_matches_csv_module(
+        self, tmp_path, monkeypatch, block, nul_rejected, text, policy
     ):
-        # Before Python 3.11 csv.reader raises on a NUL; emulate that on any
-        # interpreter so the block-wise reader is held to both behaviours.
         monkeypatch.setattr(csv_io, "_BLOCK_LINES", block)
-        monkeypatch.setattr(csv, "reader", _nul_rejecting_reader)
+        if nul_rejected:
+            # Before Python 3.11 csv.reader raises on a NUL; emulate that on
+            # any interpreter so the block-wise reader is held to both.
+            monkeypatch.setattr(csv, "reader", _nul_rejecting_reader)
         assert_same_csv_load(tmp_path, text, policy)
 
     def test_a_strict_error_before_a_rejected_row_wins(self, tmp_path, monkeypatch):
