@@ -3,7 +3,7 @@
 Clusters the city workload once (phase 1 is shared by construction), then
 runs crowd discovery (Algorithm 1) and gathering detection (TAD*) with both
 execution backends: the scalar reference and the vectorized fast path
-(batched arena sweep + packed-bit TAD*).  Asserts identical mining output
+(proximity-graph frontier sweep + packed-bit TAD*).  Asserts identical mining output
 and the combined phase-2+3 speedup.
 
 The hard assertion bound (2.5x) is deliberately below the typical measured
@@ -19,9 +19,9 @@ import time
 
 from repro.bench import SCENARIOS
 from repro.core.crowd_discovery import discover_closed_crowds
-from repro.core.gathering import dedupe_gatherings
+from repro.core.gathering import dedupe_gatherings, make_detector
 from repro.core.pipeline import GatheringMiner
-from repro.engine.registry import REGISTRY, ExecutionConfig
+from repro.engine.registry import ExecutionConfig
 
 ROUNDS = 3
 MIN_SPEEDUP = 2.5
@@ -43,9 +43,7 @@ def _city_cluster_db():
 def _run_phases(cluster_db, backend: str):
     """Best-of-rounds phase-2 and phase-3 timings of one backend."""
     config = ExecutionConfig(backend=backend) if backend == "numpy" else None
-    detector = REGISTRY.create(
-        "detection", "TAD*", backend=backend, config=config
-    )
+    detector = make_detector("TAD*", backend)
     best_phase2 = best_phase3 = float("inf")
     crowd_result = gatherings = None
     for _ in range(ROUNDS):

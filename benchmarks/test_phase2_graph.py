@@ -1,14 +1,14 @@
 """Phase-2 proximity-graph frontier sweep shoot-out on the metro scenario.
 
 Clusters the metro workload once (shared by construction), then runs crowd
-discovery with the prior per-timestamp batched sweep (range-search
-``search_many`` per snapshot) and the proximity-graph frontier sweep (one
+discovery with the scalar GRID reference (one grid-index range search per
+candidate and snapshot) and the numpy proximity-graph frontier sweep (one
 precomputed CSR adjacency, one gather per timestamp).  Asserts identical
 crowd labels and the frontier speedup.
 
-The hard assertion bound (2.5x) is deliberately below the typical measured
-speedup (>= 3x on an idle machine, reported via ``extra_info`` / stdout) so
-that a noisy shared worker cannot flake the suite; the tracked
+The hard assertion bound (2.5x) is deliberately far below the typical
+measured speedup (about 10x on a 2-vCPU VM, reported via ``extra_info`` /
+stdout) so that a noisy shared worker cannot flake the suite; the tracked
 ``BENCH_<n>.json`` trajectory records the real numbers per commit.
 """
 
@@ -20,9 +20,7 @@ import time
 from repro.bench import SCENARIOS
 from repro.core.crowd_discovery import discover_closed_crowds
 from repro.core.pipeline import GatheringMiner
-from repro.engine.range_search import VectorizedRangeSearch
 from repro.engine.registry import ExecutionConfig
-from repro.engine.sweep import sweep_crowds_batched
 
 ROUNDS = 3
 MIN_SPEEDUP = 2.5
@@ -43,20 +41,19 @@ def _metro_cluster_db():
     return cluster_db
 
 
-def test_frontier_sweep_beats_batched_sweep(benchmark):
+def test_frontier_sweep_beats_scalar_grid(benchmark):
     cluster_db = _metro_cluster_db()
 
-    best_batched = best_frontier = float("inf")
-    graph_seconds = 0.0
-    batched_result = frontier_result = None
-    for _ in range(ROUNDS):
-        # A fresh strategy per round so the batched path pays its own index
-        # builds, exactly as it does inside discover_closed_crowds.
-        searcher = VectorizedRangeSearch(PARAMS.delta)
-        start = time.perf_counter()
-        batched_result = sweep_crowds_batched(cluster_db, PARAMS, searcher)
-        best_batched = min(best_batched, time.perf_counter() - start)
+    # One scalar run: it is an order of magnitude slower, so its timing
+    # noise cannot decide the gate.
+    start = time.perf_counter()
+    scalar_result = discover_closed_crowds(cluster_db, PARAMS, strategy="GRID")
+    scalar_seconds = time.perf_counter() - start
 
+    best_frontier = float("inf")
+    graph_seconds = 0.0
+    frontier_result = None
+    for _ in range(ROUNDS):
         start = time.perf_counter()
         frontier_result = discover_closed_crowds(
             cluster_db, PARAMS, strategy="GRID", config=NUMPY
@@ -67,21 +64,21 @@ def test_frontier_sweep_beats_batched_sweep(benchmark):
             graph_seconds = frontier_result.proximity_seconds
 
     # Exact label parity, including order: the frontier sweep is a
-    # re-ordering of the batched sweep's work, not an approximation of it.
+    # re-ordering of the scalar loop's work, not an approximation of it.
     assert [c.keys() for c in frontier_result.closed_crowds] == [
-        c.keys() for c in batched_result.closed_crowds
+        c.keys() for c in scalar_result.closed_crowds
     ]
     assert [c.keys() for c in frontier_result.open_candidates] == [
-        c.keys() for c in batched_result.open_candidates
+        c.keys() for c in scalar_result.open_candidates
     ]
 
-    speedup = best_batched / best_frontier
+    speedup = scalar_seconds / best_frontier
     benchmark.extra_info.update(
         {
             "fleet": METRO.fleet_size,
             "clusters": len(cluster_db),
             "crowds": len(frontier_result.closed_crowds),
-            "batched_s": round(best_batched, 3),
+            "scalar_s": round(scalar_seconds, 3),
             "frontier_s": round(best_frontier, 3),
             "graph_build_s": round(graph_seconds, 3),
             "speedup": round(speedup, 2),
@@ -89,7 +86,7 @@ def test_frontier_sweep_beats_batched_sweep(benchmark):
     )
     print(
         f"\nphase-2 proximity graph (metro: fleet={METRO.fleet_size}, "
-        f"duration={METRO.duration}): batched {best_batched:.2f}s vs frontier "
+        f"duration={METRO.duration}): scalar GRID {scalar_seconds:.2f}s vs frontier "
         f"{best_frontier:.2f}s (graph build {graph_seconds:.2f}s) "
         f"-> {speedup:.1f}x"
     )
@@ -107,6 +104,5 @@ def test_frontier_sweep_beats_batched_sweep(benchmark):
     if not os.environ.get("CI"):
         assert speedup >= MIN_SPEEDUP, (
             f"proximity-graph frontier sweep only {speedup:.2f}x faster than "
-            f"the batched per-timestamp sweep (expected >= {MIN_SPEEDUP}x, "
-            f"typically >= 3x)"
+            f"the scalar GRID sweep (expected >= {MIN_SPEEDUP}x)"
         )

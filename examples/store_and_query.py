@@ -5,8 +5,9 @@ The full durable workflow in one script:
 1. simulate the multi-district city workload;
 2. mine it with the sharded batch driver (stitched across boundaries),
    persisting crowds and gatherings into a SQLite pattern store;
-3. answer region / time-window / object queries through the cached query
-   service — the same answers ``repro query`` and the HTTP endpoint give.
+3. answer region / time-window / object queries through the cached
+   serving core, :class:`~repro.serve.PatternApp` — the same code path
+   ``repro query`` and the HTTP endpoint answer through.
 
 Equivalent CLI::
 
@@ -16,10 +17,12 @@ Equivalent CLI::
 
 from __future__ import annotations
 
+import json
+
 from repro.core.config import GatheringParameters
 from repro.core.sharding import ShardedMiningDriver
 from repro.datagen.scenarios import city_scenario
-from repro.serve import PatternQueryService
+from repro.serve import PatternApp, SingleStorePool
 from repro.store import PatternStore
 
 params = GatheringParameters(
@@ -41,28 +44,35 @@ with PatternStore("patterns.db") as store:
         f"carried across boundaries: {report.carried_candidates[:-1]})"
     )
 
+
+
+def query(app, target):
+    """One GET through the serving core, decoded."""
+    return json.loads(app.handle_request("GET", target).body)
+
+
 print("querying the store ...")
 with PatternStore("patterns.db", readonly=True) as store:
-    service = PatternQueryService(store)
+    app = PatternApp(SingleStorePool(store))
 
     summary = store.summary()
     min_x, min_y, max_x, max_y = summary["bbox"]
     mid_x = (min_x + max_x) / 2.0
-    west = service.query(kind="gatherings", bbox=(min_x, min_y, mid_x, max_y))
+    west = query(app, f"/gatherings?bbox={min_x},{min_y},{mid_x},{max_y}")
     print(f"  gatherings in the western half of the city: {west['count']}")
 
     t0, t1 = summary["time_span"]
     mid_t = (t0 + t1) / 2.0
-    first_half = service.query(kind="gatherings", time_from=t0, time_to=mid_t)
+    first_half = query(app, f"/gatherings?from={t0}&to={mid_t}")
     print(f"  gatherings overlapping the first half-day:  {first_half['count']}")
 
-    durable = service.query(kind="crowds", min_lifetime=int(params.kc) + 5)
+    durable = query(app, f"/crowds?min_lifetime={int(params.kc) + 5}")
     print(f"  crowds lasting >= kc+5 snapshots:           {durable['count']}")
 
     if west["results"]:
         object_id = west["results"][0]["object_ids"][0]
-        theirs = service.query(kind="gatherings", object_id=object_id)
+        theirs = query(app, f"/gatherings?object_id={object_id}")
         print(f"  gatherings object {object_id} participated in:     {theirs['count']}")
 
-    cache = service.stats()["cache"]
+    cache = app.cache_stats()
     print(f"  cache: {cache['hits']} hits / {cache['misses']} misses")

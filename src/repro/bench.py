@@ -24,9 +24,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .clustering.snapshot import ClusterDatabase
 from .core.config import GatheringParameters
 from .core.crowd_discovery import discover_closed_crowds
-from .core.gathering import dedupe_gatherings
+from .core.gathering import dedupe_gatherings, make_detector
 from .core.pipeline import GatheringMiner
-from .engine.registry import BACKENDS, REGISTRY, ExecutionConfig
+from .engine.registry import BACKENDS, ExecutionConfig
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -277,7 +277,7 @@ def _time_phases(
     else:
         config = ExecutionConfig(backend=backend)
     miner = GatheringMiner(params, config=config)
-    detector = REGISTRY.create("detection", "TAD*", backend=backend, config=config)
+    detector = make_detector("TAD*", backend)
     timings = PhaseTimings(backend=backend)
     best_cluster = best_crowd = best_detect = float("inf")
     best_proximity = 0.0

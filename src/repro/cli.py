@@ -56,12 +56,15 @@ import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
+from urllib.parse import urlencode
 
 from .analysis.effectiveness import count_patterns_for_scenario
 from .bench import SCENARIOS as BENCH_SCENARIOS
 from .core.config import GatheringParameters
+from .core.gathering import DETECTORS
 from .core.pipeline import GatheringMiner
-from .engine.registry import BACKENDS, REGISTRY, ExecutionConfig
+from .core.range_search import NUMPY_SCHEMES, RANGE_SEARCHES, runs_proximity_graph
+from .engine.registry import BACKENDS, ExecutionConfig
 from .datagen.events import GatheringEvent
 from .datagen.scenarios import time_of_day_scenario, weather_scenario
 from .datagen.simulator import SimulationConfig, TaxiFleetSimulator
@@ -157,6 +160,11 @@ def _add_fault_plan_argument(parser: argparse.ArgumentParser) -> None:
 
 #: Trajectory input formats the loading commands understand.
 _INPUT_FORMATS = ("csv", "jsonl", "tdrive", "geolife")
+
+_RANGE_SEARCH_HELP = (
+    "range-search scheme of the scalar reference (--backend python); the "
+    "numpy backend always runs the proximity-graph sweep and accepts only GRID"
+)
 
 
 def _add_quality_arguments(parser: argparse.ArgumentParser) -> None:
@@ -296,13 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--json", dest="json_output", help="write the mined patterns to a JSON file")
     mine.add_argument(
         "--range-search",
-        choices=tuple(REGISTRY.names("range_search")),
+        choices=tuple(RANGE_SEARCHES),
         default="GRID",
-        help="range-search scheme (any name registered in the strategy registry)",
+        help=_RANGE_SEARCH_HELP,
     )
     mine.add_argument(
         "--detection",
-        choices=tuple(REGISTRY.names("detection")),
+        choices=tuple(sorted({name for name, _ in DETECTORS})),
         default="TAD*",
         help="gathering-detection strategy",
     )
@@ -414,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--range-search",
-        choices=tuple(REGISTRY.names("range_search")),
+        choices=tuple(RANGE_SEARCHES),
         default="GRID",
-        help="range-search scheme for crowd discovery",
+        help=_RANGE_SEARCH_HELP,
     )
     stream.add_argument("--json", dest="json_output", help="write the mined patterns to JSON")
     _add_parameter_arguments(stream)
@@ -485,7 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include each pattern's full cluster sequence in the output",
     )
-    query.add_argument("--json", dest="json_output", help="write the answer to a JSON file")
+    query.add_argument(
+        "--json",
+        dest="json_output",
+        help="write the answer to a JSON file: the same document GET /gatherings "
+        "or /crowds returns (filters incl. cursor, count, results, next_cursor)",
+    )
     serving = query.add_argument_group("HTTP serving")
     serving.add_argument(
         "--serve",
@@ -610,11 +623,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     backends = subparsers.add_parser(
-        "backends", help="list the registered strategy backends"
+        "backends", help="list the range-search and detection backends"
     )
     backends.add_argument(
         "--kind",
-        choices=("range_search", "dbscan", "detection"),
+        choices=("range_search", "detection"),
         help="restrict the listing to one strategy kind",
     )
 
@@ -725,6 +738,7 @@ def _open_store(path: str):
 
 
 def _command_mine(args: argparse.Namespace) -> int:
+    runs_proximity_graph(args.range_search, args.backend)  # reject before phase 1
     database = _load_database(args)
     params = _parameters_from_args(args)
     if args.spill_dir:
@@ -830,6 +844,8 @@ def _command_stream(args: argparse.Namespace) -> int:
 
     if args.input is None and not args.demo:
         raise ValueError("stream needs --input or --demo")
+    if not args.restore:
+        runs_proximity_graph(args.range_search, args.backend)  # reject before replay
 
     if args.demo:
         scenario = streaming_scenario(
@@ -943,8 +959,8 @@ def _command_stream(args: argparse.Namespace) -> int:
 def _command_query(args: argparse.Namespace) -> int:
     from .serve import (
         PatternApp,
-        PatternQueryService,
         ReadConnectionPool,
+        SingleStorePool,
         run_async_server,
         serve_forever,
     )
@@ -990,25 +1006,27 @@ def _command_query(args: argparse.Namespace) -> int:
             pool.close()
         return 0
 
-    store = PatternStore(args.store, readonly=True)
-    service = PatternQueryService(store, cache_size=args.cache_size)
-
-    bbox = None
-    if args.bbox:
-        parts = args.bbox.split(",")
-        if len(parts) != 4:
-            raise ValueError("--bbox must be 'min_x,min_y,max_x,max_y'")
-        bbox = tuple(float(part) for part in parts)
-    answer = service.query(
-        kind=args.kind,
-        bbox=bbox,
-        time_from=args.time_from,
-        time_to=args.time_to,
-        object_id=args.object_id,
-        min_lifetime=args.min_lifetime,
-        limit=args.limit,
-        include_clusters=args.clusters,
+    params = {
+        "bbox": args.bbox,
+        "from": args.time_from,
+        "to": args.time_to,
+        "object_id": args.object_id,
+        "min_lifetime": args.min_lifetime,
+        "limit": args.limit,
+        "clusters": "1" if args.clusters else None,
+    }
+    target = f"/{args.kind}?" + urlencode(
+        {name: value for name, value in params.items() if value is not None}
     )
+    store = PatternStore(args.store, readonly=True)
+    try:
+        app = PatternApp(SingleStorePool(store), cache_size=args.cache_size)
+        response = app.handle_request("GET", target)
+    finally:
+        store.close()
+    answer = json.loads(response.body)
+    if response.status != 200:
+        raise ValueError(answer["error"])
     print(f"store             : {args.store}")
     print(f"{args.kind:<18}: {answer['count']} matching")
     for index, row in enumerate(answer["results"]):
@@ -1021,7 +1039,6 @@ def _command_query(args: argparse.Namespace) -> int:
     if args.json_output:
         Path(args.json_output).write_text(json.dumps(answer, indent=2))
         print(f"wrote {args.json_output}")
-    store.close()
     return 0
 
 
@@ -1286,10 +1303,16 @@ def _command_loadtest(args: argparse.Namespace) -> int:
 
 
 def _command_backends(args: argparse.Namespace) -> int:
-    rows = REGISTRY.describe(args.kind)
+    rows = [
+        ("range_search", name, "python", cls.description)
+        for name, cls in RANGE_SEARCHES.items()
+    ]
+    rows += [("range_search", name, "numpy", text) for name, text in NUMPY_SCHEMES.items()]
+    rows += [("detection", name, backend, text) for (name, backend), text in DETECTORS.items()]
     print(f"{'kind':<14} {'name':<8} {'backend':<8} description")
-    for row in rows:
-        print(f"{row['kind']:<14} {row['name']:<8} {row['backend']:<8} {row['description']}")
+    for kind, name, backend, text in sorted(rows):
+        if args.kind in (None, kind):
+            print(f"{kind:<14} {name:<8} {backend:<8} {text}")
     return 0
 
 

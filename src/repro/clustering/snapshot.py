@@ -130,13 +130,6 @@ class ClusterDatabase:
 
     def __init__(self) -> None:
         self._by_time: Dict[float, List[SnapshotCluster]] = {}
-        #: Optional :class:`~repro.engine.frame.FrameStore` set by the
-        #: batched phase-1 builder: the columnar frames these clusters are
-        #: lazy views of.  Purely an acceleration hint — consumers (the
-        #: vectorized crowd sweep) seed their frame caches from it so the
-        #: arena built in phase 1 is reused without re-packing; every
-        #: ClusterDatabase works identically with ``frames is None``.
-        self.frames = None
 
     def __len__(self) -> int:
         return sum(len(clusters) for clusters in self._by_time.values())

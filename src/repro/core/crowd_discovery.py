@@ -3,10 +3,18 @@
 The algorithm sweeps the timestamps of the cluster database in order,
 maintaining a set ``V`` of crowd candidates (cluster sequences ending at the
 previous timestamp).  At each timestamp every candidate tries to extend with
-the clusters within Hausdorff distance ``delta`` of its last cluster
-(delegated to a pluggable :class:`~repro.core.range_search.RangeSearchStrategy`);
+the clusters within Hausdorff distance ``delta`` of its last cluster;
 candidates that cannot be extended and are long enough become closed crowds
 (Lemma 1).  Clusters not appended to any candidate start new candidates.
+
+Two implementations run the sweep.  The ``"numpy"`` backend builds every
+consecutive-snapshot proximity edge up front
+(:func:`~repro.engine.proximity.build_proximity_graph`) and propagates the
+candidates over it (:func:`~repro.engine.sweep.sweep_crowds_frontier`).
+The ``"python"`` backend, or any ready-made
+:class:`~repro.core.range_search.RangeSearchStrategy` instance, runs the
+scalar loop below with one of the paper's range-search schemes; it is the
+parity oracle for the numpy path.
 
 The final candidate set (all sequences ending at the last timestamp) is kept
 in the returned :class:`CrowdDiscoveryResult` so the incremental algorithm of
@@ -22,7 +30,7 @@ from ..clustering.snapshot import ClusterDatabase
 from ..engine.registry import ExecutionConfig
 from .config import GatheringParameters
 from .crowd import Crowd
-from .range_search import RangeSearchStrategy, make_range_search
+from .range_search import RangeSearchStrategy, make_range_search, runs_proximity_graph
 
 __all__ = ["CrowdDiscoveryResult", "discover_closed_crowds"]
 
@@ -43,10 +51,9 @@ class CrowdDiscoveryResult:
     last_timestamp:
         The last timestamp processed, or ``None`` for an empty database.
     proximity_seconds:
-        Wall-clock seconds spent building the cluster proximity graph when
-        the frontier fast path ran (``0.0`` on the scalar and fallback
-        paths); surfaced as a sub-phase of the crowd timing in
-        ``repro bench``.
+        Wall-clock seconds spent building the cluster proximity graph on
+        the numpy backend (``0.0`` on the scalar loop); surfaced as a
+        sub-phase of the crowd timing in ``repro bench``.
     """
 
     closed_crowds: List[Crowd] = field(default_factory=list)
@@ -57,19 +64,6 @@ class CrowdDiscoveryResult:
     def crowd_count(self) -> int:
         """Number of closed crowds discovered."""
         return len(self.closed_crowds)
-
-
-def _resolve_strategy(
-    strategy: Union[str, RangeSearchStrategy, None],
-    delta: float,
-    config: Optional[ExecutionConfig] = None,
-) -> RangeSearchStrategy:
-    backend = config.backend if config is not None else "python"
-    if strategy is None:
-        return make_range_search("GRID", delta, backend=backend, config=config)
-    if isinstance(strategy, str):
-        return make_range_search(strategy, delta, backend=backend, config=config)
-    return strategy
 
 
 def discover_closed_crowds(
@@ -89,13 +83,14 @@ def discover_closed_crowds(
     params:
         Mining thresholds; only ``mc``, ``delta`` and ``kc`` are used here.
     strategy:
-        Range-search scheme: a name registered in the engine's strategy
-        registry (``"BRUTE"``, ``"SR"``, ``"IR"``, ``"GRID"`` built in) or a
-        ready-made :class:`RangeSearchStrategy` instance.
+        Range-search scheme: a scalar scheme name (``"BRUTE"``, ``"SR"``,
+        ``"IR"``, ``"GRID"``) or a ready-made :class:`RangeSearchStrategy`
+        instance.  The numpy backend accepts only ``"GRID"`` (or ``None``)
+        by name; see :func:`~repro.core.range_search.runs_proximity_graph`.
     config:
         Optional :class:`~repro.engine.registry.ExecutionConfig` selecting
         the backend (``"python"`` reference or ``"numpy"`` columnar) and
-        kernel chunk size used when ``strategy`` is given by name.
+        the kernel chunk size of the numpy proximity graph.
     initial_candidates:
         Crowd candidates carried over from a previous run (incremental mode).
     start_after:
@@ -107,56 +102,28 @@ def discover_closed_crowds(
     A :class:`CrowdDiscoveryResult` with the closed crowds and the open
     candidate set for later incremental extension.
     """
-    searcher = _resolve_strategy(strategy, params.delta, config)
-    if getattr(searcher, "supports_proximity_graph", False):
-        # Columnar strategies run the frontier fast path: the full
-        # cluster-to-cluster proximity graph of consecutive snapshots is
-        # built in one columnar pass, then candidates propagate over its
-        # CSR adjacency — no per-timestamp searches or index caches at all.
+    timestamps = [
+        t for t in cluster_db.timestamps() if start_after is None or t > start_after
+    ]
+    if runs_proximity_graph(strategy, config.backend if config else "python"):
         # Exact label parity with the scalar loop below is property-tested.
-        from ..engine.kernels import DEFAULT_CHUNK_SIZE
         from ..engine.proximity import build_proximity_graph
         from ..engine.sweep import sweep_crowds_frontier
 
         graph = build_proximity_graph(
-            cluster_db,
-            params,
-            timestamps=[
-                t
-                for t in cluster_db.timestamps()
-                if start_after is None or t > start_after
-            ],
-            chunk_size=getattr(searcher, "chunk_size", DEFAULT_CHUNK_SIZE),
+            cluster_db, params, timestamps=timestamps, chunk_size=config.chunk_size
         )
         return sweep_crowds_frontier(
             graph, params, initial_candidates=initial_candidates
         )
-    frames = getattr(cluster_db, "frames", None)
-    if frames is not None and hasattr(searcher, "seed_frames"):
-        # Batched phase 1 already holds every snapshot as a columnar frame;
-        # seeding the strategy's cache means the sweep's first queries are
-        # frame-resident too and no snapshot is ever re-packed from objects.
-        searcher.seed_frames(frames)
-    if hasattr(searcher, "search_many"):
-        # Batch-capable strategies without proximity-graph support run the
-        # arena-based fallback: one batched search per timestamp, candidates
-        # as rows of an index arena instead of per-object Crowd tuples.
-        from ..engine.sweep import sweep_crowds_batched
 
-        return sweep_crowds_batched(
-            cluster_db,
-            params,
-            searcher,
-            initial_candidates=initial_candidates,
-            start_after=start_after,
-        )
+    if isinstance(strategy, RangeSearchStrategy):
+        searcher = strategy
+    else:
+        searcher = make_range_search(strategy or "GRID", params.delta)
 
     closed: List[Crowd] = []
     candidates: List[Crowd] = list(initial_candidates) if initial_candidates else []
-
-    timestamps = [
-        t for t in cluster_db.timestamps() if start_after is None or t > start_after
-    ]
     last_processed: Optional[float] = None
 
     for t in timestamps:

@@ -20,7 +20,8 @@ occurrence counting uses the mask-based Hamming weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .bitvector import BitVector, build_signatures
 from .config import GatheringParameters
@@ -37,6 +38,8 @@ __all__ = [
     "detect_gatherings_tad_star_packed",
     "detect_gatherings",
     "dedupe_gatherings",
+    "DETECTORS",
+    "make_detector",
 ]
 
 
@@ -356,3 +359,31 @@ def detect_gatherings(
     if normalized in ("BRUTE", "BRUTE-FORCE", "BRUTEFORCE"):
         return detect_gatherings_brute_force(crowd, params)
     raise ValueError(f"unknown gathering-detection method {method!r}")
+
+
+#: The gathering detectors, as ``(name, backend) -> description``.  Every
+#: name runs on both backends; only TAD* has a distinct numpy variant.
+DETECTORS: Dict[Tuple[str, str], str] = {
+    ("BRUTE", "python"): "enumerate-and-test gathering detection",
+    ("TAD", "python"): "test-and-divide gathering detection",
+    ("TAD*", "python"): "bit-vector accelerated test-and-divide",
+    ("TAD*", "numpy"): "test-and-divide on a packed uint64 membership matrix",
+}
+
+
+def make_detector(
+    name: str, backend: str = "python"
+) -> Callable[[Crowd, GatheringParameters], List[Gathering]]:
+    """The ``detector(crowd, params)`` callable for a method and backend.
+
+    ``name`` is one of the :data:`DETECTORS` names (case-insensitive).  The
+    numpy backend's TAD* runs on the packed membership matrix; every other
+    combination runs :func:`detect_gatherings` with that method.
+    """
+    normalized = name.upper()
+    if (normalized, "python") not in DETECTORS:
+        names = sorted({method for method, _ in DETECTORS})
+        raise ValueError(f"unknown gathering-detection method {name!r}; choose from {names}")
+    if backend == "numpy" and normalized == "TAD*":
+        return detect_gatherings_tad_star_packed
+    return partial(detect_gatherings, method=normalized)

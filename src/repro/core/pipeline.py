@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..clustering.snapshot import ClusterDatabase, build_cluster_database
-from ..engine.registry import REGISTRY, ExecutionConfig
+from ..engine.registry import ExecutionConfig
 from ..trajectory.trajectory import TrajectoryDatabase
 from .config import GatheringParameters
 from .crowd import Crowd
 from .crowd_discovery import CrowdDiscoveryResult, discover_closed_crowds
-from .gathering import Gathering, dedupe_gatherings
+from .gathering import Gathering, dedupe_gatherings, make_detector
 from .incremental import IncrementalCrowdMiner, update_gatherings
 
 __all__ = ["MiningResult", "GatheringMiner", "IncrementalGatheringMiner"]
@@ -138,10 +138,7 @@ class GatheringMiner:
     # -- phase 3 -------------------------------------------------------------
     def detect(self, crowds: Sequence[Crowd]) -> List[Gathering]:
         """Detect closed gatherings inside each closed crowd."""
-        detector = REGISTRY.create(
-            "detection", self.detection_method, backend=self.config.backend,
-            config=self.config,
-        )
+        detector = make_detector(self.detection_method, self.config.backend)
         gatherings: List[Gathering] = []
         for crowd in crowds:
             gatherings.extend(detector(crowd, self.params))
@@ -190,9 +187,7 @@ class IncrementalGatheringMiner:
         )
         # Backend-resolved TAD* detector for crowds that are new (not mere
         # extensions): the numpy backend runs the packed-matrix variant.
-        self._detector = REGISTRY.create(
-            "detection", "TAD*", backend=self.config.backend, config=self.config
-        )
+        self._detector = make_detector("TAD*", self.config.backend)
         # Gatherings keyed by the crowd they were found in.
         self._gatherings_by_crowd: Dict[Tuple, List[Gathering]] = {}
         # The merged cluster database across every batch folded in so far,

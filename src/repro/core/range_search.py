@@ -17,12 +17,17 @@ paper compares three pruning schemes on top of the brute-force approach:
 
 Each strategy builds one index per timestamp lazily and caches it, because a
 single timestamp serves range searches from many crowd candidates.
+
+These scalar schemes are the paper-faithful reference.  The ``"numpy"``
+backend answers the same question for every consecutive snapshot pair at
+once (:mod:`repro.engine.proximity`), with GRID's answer; asking it for
+another scheme is an error (:func:`runs_proximity_graph`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Type, Union
 
 from ..clustering.snapshot import SnapshotCluster
 from ..index.grid import GridIndex
@@ -35,6 +40,9 @@ __all__ = [
     "ImprovedRTreeRangeSearch",
     "GridRangeSearch",
     "make_range_search",
+    "runs_proximity_graph",
+    "RANGE_SEARCHES",
+    "NUMPY_SCHEMES",
     "STRATEGY_NAMES",
 ]
 
@@ -45,11 +53,8 @@ class RangeSearchStrategy(ABC):
     #: Short name used in benchmark output (SR / IR / GRID / BRUTE).
     name = "ABSTRACT"
 
-    #: Whether :func:`~repro.core.crowd_discovery.discover_closed_crowds`
-    #: may replace this strategy's per-timestamp searches with the
-    #: precomputed proximity-graph frontier sweep (the columnar backend
-    #: opts in; scalar strategies stay the independent parity reference).
-    supports_proximity_graph = False
+    #: One-line summary listed by ``repro backends``.
+    description = ""
 
     def __init__(self, delta: float) -> None:
         if delta <= 0:
@@ -82,6 +87,7 @@ class BruteForceRangeSearch(RangeSearchStrategy):
     """No pruning: check the Hausdorff threshold against every cluster."""
 
     name = "BRUTE"
+    description = "exact Hausdorff check against every cluster"
 
     def search(self, query, timestamp, clusters):
         self.refinement_count += len(clusters)
@@ -117,6 +123,7 @@ class SimpleRTreeRangeSearch(RangeSearchStrategy):
     """SR: prune with ``d_min(MBR, MBR) <= delta`` (Lemma 2), then refine."""
 
     name = "SR"
+    description = "R-tree window pruning (Lemma 2), scalar refine"
 
     def __init__(self, delta: float) -> None:
         super().__init__(delta)
@@ -140,6 +147,7 @@ class ImprovedRTreeRangeSearch(RangeSearchStrategy):
     """IR: prune with the tighter ``d_side`` bound (Lemma 3), then refine."""
 
     name = "IR"
+    description = "R-tree d_side pruning (Lemma 3), scalar refine"
 
     def __init__(self, delta: float) -> None:
         super().__init__(delta)
@@ -163,6 +171,7 @@ class GridRangeSearch(RangeSearchStrategy):
     """GRID: affect-region pruning plus common-cell refinement (no exact d_H)."""
 
     name = "GRID"
+    description = "grid affect-region pruning, common-cell refine"
 
     def __init__(self, delta: float) -> None:
         super().__init__(delta)
@@ -195,20 +204,56 @@ class GridRangeSearch(RangeSearchStrategy):
             self._sources.pop(key, None)
 
 
-STRATEGY_NAMES = ("BRUTE", "SR", "IR", "GRID")
+#: The scalar schemes by name.
+RANGE_SEARCHES: Dict[str, Type[RangeSearchStrategy]] = {
+    cls.name: cls
+    for cls in (
+        BruteForceRangeSearch,
+        SimpleRTreeRangeSearch,
+        ImprovedRTreeRangeSearch,
+        GridRangeSearch,
+    )
+}
+
+STRATEGY_NAMES = tuple(RANGE_SEARCHES)
+
+#: Schemes the ``"numpy"`` backend runs, as the proximity-graph frontier
+#: sweep; the graph's edges are exactly GRID's (and every scheme's) answers.
+NUMPY_SCHEMES = {"GRID": "proximity graph of consecutive snapshots + frontier sweep"}
 
 
-def make_range_search(
-    name: str, delta: float, backend: str = "python", config=None
-) -> RangeSearchStrategy:
-    """Factory used by the pipeline and the benchmark harness.
+def make_range_search(name: str, delta: float) -> RangeSearchStrategy:
+    """Instantiate the scalar scheme called ``name`` (case-insensitive)."""
+    cls = RANGE_SEARCHES.get(name.upper())
+    if cls is None:
+        raise ValueError(
+            f"unknown range-search scheme {name!r}; choose from {STRATEGY_NAMES}"
+        )
+    return cls(delta)
 
-    Resolves through the engine's strategy registry, so names registered at
-    runtime (and the vectorized ``"numpy"`` backend) are available alongside
-    the four built-in schemes.
+
+def runs_proximity_graph(
+    strategy: Union[str, RangeSearchStrategy, None], backend: str
+) -> bool:
+    """Whether crowd discovery runs the numpy proximity-graph sweep.
+
+    A strategy *instance* (ablations, spies) or the ``"python"`` backend
+    runs the scalar loop.  Under ``"numpy"`` a scheme name of ``None`` or
+    ``"GRID"`` runs the graph sweep; any other known scheme raises
+    ``ValueError``, because the numpy backend has no per-scheme search to
+    offer and silently answering with GRID would hide the choice.
     """
-    from ..engine.registry import REGISTRY
-
-    return REGISTRY.create(
-        "range_search", name, backend=backend, delta=delta, config=config
+    if backend != "numpy" or isinstance(strategy, RangeSearchStrategy):
+        return False
+    name = "GRID" if strategy is None else strategy.upper()
+    if name in NUMPY_SCHEMES:
+        return True
+    if name not in RANGE_SEARCHES:
+        raise ValueError(
+            f"unknown range-search scheme {strategy!r}; choose from {STRATEGY_NAMES}"
+        )
+    raise ValueError(
+        f"range-search scheme {strategy!r} runs only on the scalar reference; "
+        "the numpy backend always runs the proximity-graph sweep (GRID) — "
+        "use --backend python to pick a scheme"
     )

@@ -1,40 +1,36 @@
-"""Columnar execution engine: frames, vectorized kernels, strategy registry.
+"""Columnar execution engine: frames, vectorized kernels, execution config.
 
 Every hot path of the paper's three-phase framework (snapshot clustering,
-Algorithm 1 crowd discovery, Algorithm 2 gathering detection) resolves its
-implementation through this package.  The registry and :class:`ExecutionConfig` are imported eagerly (they are
-dependency-light); the columnar modules are exposed lazily so that low-level
-layers (e.g. :mod:`repro.geometry.hausdorff`) can import the kernels without
-dragging the whole mining stack into their import graph.
+Algorithm 1 crowd discovery, Algorithm 2 gathering detection) has its
+numpy implementation in this package.  :class:`ExecutionConfig` is imported
+eagerly (it is dependency-light); the columnar modules are exposed lazily
+so that low-level layers (e.g. :mod:`repro.geometry.hausdorff`) can import
+the kernels without dragging the whole mining stack into their import
+graph.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from .registry import BACKENDS, REGISTRY, ExecutionConfig, StrategyRegistry, StrategySpec
+from .registry import BACKENDS, ExecutionConfig
 
 __all__ = [
     "BACKENDS",
-    "REGISTRY",
     "ExecutionConfig",
-    "StrategyRegistry",
-    "StrategySpec",
     "SnapshotFrame",
-    "FrameStore",
-    "VectorizedRangeSearch",
     "MembershipMatrix",
-    "sweep_crowds_batched",
+    "build_proximity_graph",
+    "sweep_crowds_frontier",
     "dbscan_numpy",
     "build_cluster_database_parallel",
 ]
 
 _LAZY = {
     "SnapshotFrame": ("repro.engine.frame", "SnapshotFrame"),
-    "FrameStore": ("repro.engine.frame", "FrameStore"),
-    "VectorizedRangeSearch": ("repro.engine.range_search", "VectorizedRangeSearch"),
     "MembershipMatrix": ("repro.engine.bitmatrix", "MembershipMatrix"),
-    "sweep_crowds_batched": ("repro.engine.sweep", "sweep_crowds_batched"),
+    "build_proximity_graph": ("repro.engine.proximity", "build_proximity_graph"),
+    "sweep_crowds_frontier": ("repro.engine.sweep", "sweep_crowds_frontier"),
     "dbscan_numpy": ("repro.engine.dbscan", "dbscan_numpy"),
     "build_cluster_database_parallel": ("repro.engine.parallel", "build_cluster_database_parallel"),
 }

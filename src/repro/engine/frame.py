@@ -3,28 +3,27 @@
 A :class:`SnapshotFrame` holds every snapshot cluster (Definition 1 of the
 paper) of one timestamp as contiguous NumPy arrays — one ``(n, 2)``
 coordinate block plus CSR offsets delimiting the clusters — together with an
-object-id ↔ row-index codec.  The vectorized
-backends operate on frames instead of per-:class:`~repro.geometry.point.Point`
-object graphs, so one frame build per snapshot amortises across the many
-range searches issued against that snapshot during crowd discovery.
-
-:class:`FrameStore` caches frames per timestamp and can materialise a whole
-:class:`~repro.clustering.snapshot.ClusterDatabase` up front.
+aligned object-id column.  Batched phase 1
+(:mod:`repro.engine.phase1`) builds the frames straight from its clustered
+arena, and the clusters of the resulting database are lazy
+:class:`FrameBackedCluster` views over them, so the proximity graph of
+phase 2 reads member coordinates without any
+per-:class:`~repro.geometry.point.Point` object graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..clustering.snapshot import ClusterDatabase, SnapshotCluster
+from ..clustering.snapshot import SnapshotCluster
 from ..geometry.mbr import MBR
 from ..geometry.point import Point
-from .kernels import bucket_cells, gather_ranges, mbrs_of_segments
+from .kernels import mbrs_of_segments
 
-__all__ = ["SnapshotFrame", "FrameStore", "FrameBackedCluster"]
+__all__ = ["SnapshotFrame", "FrameBackedCluster"]
 
 
 class FrameBackedCluster(SnapshotCluster):
@@ -111,8 +110,7 @@ class SnapshotFrame:
     cluster_ids:
         ``(k,)`` int64 per-snapshot cluster ids.
     clusters:
-        The source :class:`SnapshotCluster` records, aligned with segments,
-        so vectorized searches can hand back the original objects.
+        The :class:`FrameBackedCluster` views of the segments, in order.
     """
 
     timestamp: float
@@ -121,95 +119,7 @@ class SnapshotFrame:
     offsets: np.ndarray
     cluster_ids: np.ndarray
     clusters: Tuple[SnapshotCluster, ...] = ()
-    _row_index: Optional[Dict[int, int]] = field(default=None, repr=False)
     _mbrs: Optional[np.ndarray] = field(default=None, repr=False)
-    _cells: Dict[float, np.ndarray] = field(default_factory=dict, repr=False)
-    _row_arange: Optional[np.ndarray] = field(default=None, repr=False)
-    _key_index: Optional[Dict[Tuple[float, int], int]] = field(default=None, repr=False)
-
-    # -- construction ---------------------------------------------------------
-    @classmethod
-    def from_clusters(
-        cls, timestamp: float, clusters: Sequence[SnapshotCluster]
-    ) -> "SnapshotFrame":
-        """Pack one snapshot's clusters into a columnar frame.
-
-        Frame-backed clusters (the batched phase-1 representation) take a
-        zero-materialisation fast path: their columnar data is gathered
-        straight out of the source frame — or the source frame itself is
-        returned when the cluster set is exactly its segment list — so the
-        crowd sweep's per-timestamp frames never touch a ``Point`` object.
-        """
-        clusters = tuple(clusters)
-        if clusters and all(type(c) is FrameBackedCluster for c in clusters):
-            source = clusters[0]._frame
-            if all(c._frame is source for c in clusters):
-                indices = np.asarray([c._index for c in clusters], dtype=np.int64)
-                if len(indices) == source.cluster_count and np.array_equal(
-                    indices, np.arange(source.cluster_count, dtype=np.int64)
-                ):
-                    return source
-                starts = source.offsets[indices]
-                ends = source.offsets[indices + 1]
-                rows = gather_ranges(source.row_indices, starts, ends)
-                offsets = np.zeros(len(indices) + 1, dtype=np.int64)
-                np.cumsum(ends - starts, out=offsets[1:])
-                return cls(
-                    timestamp=float(timestamp),
-                    coords=source.coords[rows],
-                    object_ids=source.object_ids[rows],
-                    offsets=offsets,
-                    cluster_ids=source.cluster_ids[indices],
-                    clusters=clusters,
-                )
-        sizes = [len(c) for c in clusters]
-        offsets = np.zeros(len(clusters) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        # Build flat Python lists first and convert once: per-element stores
-        # into numpy arrays would dominate frame construction.
-        ids: List[int] = []
-        flat: List[float] = []
-        append = flat.append
-        for cluster in clusters:
-            members = cluster.members
-            ordered = sorted(members)
-            ids.extend(ordered)
-            for oid in ordered:
-                point = members[oid]
-                append(point.x)
-                append(point.y)
-        coords = np.asarray(flat, dtype=float).reshape(len(ids), 2)
-        object_ids = np.asarray(ids, dtype=np.int64)
-        cluster_ids = np.asarray([c.cluster_id for c in clusters], dtype=np.int64)
-        return cls(
-            timestamp=float(timestamp),
-            coords=coords,
-            object_ids=object_ids,
-            offsets=offsets,
-            cluster_ids=cluster_ids,
-            clusters=clusters,
-        )
-
-    # -- shape ----------------------------------------------------------------
-    @property
-    def cluster_count(self) -> int:
-        """Number of clusters (CSR segments) in the frame."""
-        return len(self.offsets) - 1
-
-    @property
-    def point_count(self) -> int:
-        """Total member coordinates across all clusters."""
-        return len(self.coords)
-
-    @property
-    def row_indices(self) -> np.ndarray:
-        """Cached ``arange(point_count)`` used for CSR row gathering."""
-        if self._row_arange is None:
-            self._row_arange = np.arange(len(self.coords), dtype=np.int64)
-        return self._row_arange
-
-    def __len__(self) -> int:
-        return self.cluster_count
 
     # -- per-cluster views -----------------------------------------------------
     def segment(self, index: int) -> Tuple[int, int]:
@@ -221,138 +131,9 @@ class SnapshotFrame:
         start, end = self.segment(index)
         return self.coords[start:end]
 
-    def cluster_object_ids(self, index: int) -> np.ndarray:
-        """Object-id block view of one cluster."""
-        start, end = self.segment(index)
-        return self.object_ids[start:end]
-
-    # -- codec -----------------------------------------------------------------
-    def row_of(self, object_id: int) -> int:
-        """Row index of an object's first occurrence in the frame."""
-        if self._row_index is None:
-            index: Dict[int, int] = {}
-            for row, oid in enumerate(self.object_ids.tolist()):
-                index.setdefault(oid, row)
-            self._row_index = index
-        return self._row_index[object_id]
-
-    def object_of(self, row: int) -> int:
-        """Object id stored at a coordinate row (inverse of :meth:`row_of`)."""
-        return int(self.object_ids[row])
-
-    def index_of_key(self, key: Tuple[float, int]) -> Optional[int]:
-        """Segment index of the cluster with this ``(timestamp, id)`` key.
-
-        Lets batched searches recognise query clusters that already live in
-        this frame (the crowd sweep's queries are always clusters of the
-        previous snapshot) and reuse their columnar data instead of
-        re-extracting coordinates point by point.
-        """
-        if self._key_index is None:
-            self._key_index = {
-                cluster.key(): index for index, cluster in enumerate(self.clusters)
-            }
-        return self._key_index.get(key)
-
     # -- derived geometry (cached) ---------------------------------------------
     def mbrs(self) -> np.ndarray:
         """Per-cluster bounding boxes as a ``(k, 4)`` array."""
         if self._mbrs is None:
             self._mbrs = mbrs_of_segments(self.coords, self.offsets)
         return self._mbrs
-
-    def cells(self, cell_size: float) -> np.ndarray:
-        """Grid cells of every coordinate row, cached per cell size."""
-        cached = self._cells.get(cell_size)
-        if cached is None:
-            cached = bucket_cells(self.coords, cell_size)
-            self._cells[cell_size] = cached
-        return cached
-
-    # -- reconstruction ---------------------------------------------------------
-    def to_clusters(self) -> List[SnapshotCluster]:
-        """Rebuild :class:`SnapshotCluster` records from the columnar data."""
-        rebuilt: List[SnapshotCluster] = []
-        for index in range(self.cluster_count):
-            start, end = self.segment(index)
-            members = {
-                int(self.object_ids[row]): Point(
-                    float(self.coords[row, 0]), float(self.coords[row, 1])
-                )
-                for row in range(start, end)
-            }
-            rebuilt.append(
-                SnapshotCluster(
-                    timestamp=self.timestamp,
-                    members=members,
-                    cluster_id=int(self.cluster_ids[index]),
-                )
-            )
-        return rebuilt
-
-
-class FrameStore:
-    """Per-timestamp cache of :class:`SnapshotFrame` objects.
-
-    Keyed by ``(timestamp, cluster_count)`` like the R-tree / grid caches of
-    the scalar strategies, so a growing incremental database invalidates
-    stale frames naturally.
-    """
-
-    def __init__(self) -> None:
-        self._frames: Dict[Tuple[float, int], SnapshotFrame] = {}
-        self._latest: Dict[float, SnapshotFrame] = {}
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-    def frames(self) -> List[SnapshotFrame]:
-        """Every cached frame, in timestamp order."""
-        return [self._frames[key] for key in sorted(self._frames)]
-
-    def add(self, frame: SnapshotFrame) -> SnapshotFrame:
-        """Register a pre-built frame (the batched phase-1 path)."""
-        key = (float(frame.timestamp), frame.cluster_count)
-        self._frames[key] = frame
-        self._latest[key[0]] = frame
-        return frame
-
-    def frame_for(
-        self, timestamp: float, clusters: Sequence[SnapshotCluster]
-    ) -> SnapshotFrame:
-        """The (cached) frame of one snapshot's cluster set."""
-        key = (float(timestamp), len(clusters))
-        frame = self._frames.get(key)
-        if frame is None:
-            frame = SnapshotFrame.from_clusters(timestamp, clusters)
-            self._frames[key] = frame
-        self._latest[key[0]] = frame
-        return frame
-
-    def evict_before(self, timestamp: float) -> None:
-        """Drop cached frames of timestamps strictly before ``timestamp``.
-
-        Only this store's references are released; seeded frames shared
-        with another store (e.g. the cluster database's) stay alive there.
-        """
-        for key in [k for k in self._frames if k[0] < timestamp]:
-            del self._frames[key]
-        for t in [t for t in self._latest if t < timestamp]:
-            del self._latest[t]
-
-    def latest(self, timestamp: float) -> Optional[SnapshotFrame]:
-        """The most recently built frame of a timestamp, if any.
-
-        Used by batched searches to locate the frame a query cluster lives
-        in; the caller must still verify cluster identity, since a growing
-        incremental database can rebuild a timestamp's frame.
-        """
-        return self._latest.get(float(timestamp))
-
-    @classmethod
-    def from_cluster_db(cls, cluster_db: ClusterDatabase) -> "FrameStore":
-        """Materialise every snapshot of a cluster database up front."""
-        store = cls()
-        for timestamp in cluster_db.timestamps():
-            store.frame_for(timestamp, cluster_db.clusters_at(timestamp))
-        return store

@@ -112,7 +112,6 @@ def _parallel_batched(
     fanning blocks out to workers would reintroduce per-worker arenas and
     an out-of-order spool for no memory win.
     """
-    from .frame import FrameStore
     from .phase1 import build_cluster_database_batched
 
     if spill_dir is not None or workers <= 1 or len(timestamps) < 2:
@@ -164,10 +163,8 @@ def _parallel_batched(
     from .phase1 import extend_cluster_database
 
     cdb = ClusterDatabase()
-    store = FrameStore()
     for block_timestamps, frames in results:
-        extend_cluster_database(cdb, store, block_timestamps, frames)
-    cdb.frames = store
+        extend_cluster_database(cdb, block_timestamps, frames)
     return cdb
 
 

@@ -23,10 +23,9 @@ the scalar object layer entirely:
    store, HTTP serving) actually asks for it.
 
 Timestamps are processed in blocks of ``snapshot_block`` snapshots, so peak
-memory is bounded by the block's arena instead of the whole database.  The
-resulting :class:`~repro.clustering.snapshot.ClusterDatabase` carries the
-built frames in its ``frames`` attribute; the vectorized crowd sweep seeds
-its frame caches from it so phase 2 starts from the phase-1 arena without
+memory is bounded by the block's arena instead of the whole database.  Phase
+2's proximity graph reads the member coordinates straight out of the frames
+behind the resulting clusters, so it starts from the phase-1 arena without
 re-packing anything.
 
 Two scale axes ride on top of the block loop (see
@@ -57,7 +56,7 @@ from .arena import (
     verify_arena_dir,
 )
 from .dbscan import dbscan_numpy_batched
-from .frame import FrameBackedCluster, FrameStore, SnapshotFrame
+from .frame import FrameBackedCluster, SnapshotFrame
 
 __all__ = [
     "DEFAULT_SNAPSHOT_BLOCK",
@@ -149,11 +148,10 @@ def frames_from_columns(
 
 def extend_cluster_database(
     cdb: ClusterDatabase,
-    store: FrameStore,
     timestamps: Sequence[float],
     frames: Dict[int, SnapshotFrame],
 ) -> None:
-    """Land one block's frames into a cluster database and frame store.
+    """Land one block's frames into a cluster database.
 
     Timestamps without a frame become *empty* snapshots (they still count
     toward ``snapshot_count`` and still close crowd candidates during the
@@ -166,7 +164,6 @@ def extend_cluster_database(
         if frame is None:
             cdb.add_snapshot(timestamp, [])
         else:
-            store.add(frame)
             cdb.add_snapshot(timestamp, frame.clusters)
 
 
@@ -189,8 +186,7 @@ def build_cluster_database_batched(
     timestamps, cluster ids and member sets are identical to the scalar
     per-snapshot loop (property-tested) — but the snapshots of each
     ``snapshot_block`` are interpolated, clustered and framed as one arena,
-    and the resulting clusters are lazy frame views.  The built frames ride
-    along in the returned database's ``frames`` attribute.
+    and the resulting clusters are lazy frame views.
 
     ``object_shards > 1`` interpolates every block in contiguous object-id
     groups merged back before clustering (bit-identical, bounded
@@ -220,15 +216,13 @@ def build_cluster_database_batched(
         )
 
     cdb = ClusterDatabase()
-    store = FrameStore()
     for block_start in range(0, len(timestamps), snapshot_block):
         block = timestamps[block_start : block_start + snapshot_block]
         arena = build_arena_block(
             database, block, max_gap=max_gap, object_shards=object_shards
         )
         labels = dbscan_numpy_batched(arena.coords, arena.offsets, eps, min_points)
-        extend_cluster_database(cdb, store, block, frames_from_arena(arena, labels))
-    cdb.frames = store
+        extend_cluster_database(cdb, block, frames_from_arena(arena, labels))
     return cdb
 
 
@@ -291,9 +285,7 @@ def _build_cluster_database_spilled(
         frames = frames_from_columns(timestamps, ts, object_ids, coords, labels)
 
         cdb = ClusterDatabase()
-        store = FrameStore()
-        extend_cluster_database(cdb, store, timestamps, frames)
-        cdb.frames = store
+        extend_cluster_database(cdb, timestamps, frames)
         return cdb
     raise SpillCorruptionError(
         f"clustered-spill rebuild failed verification twice in {spill_dir!r}: "

@@ -1,10 +1,9 @@
 """Precomputed cluster-to-cluster proximity graph for the crowd sweep.
 
-The batched sweep of :mod:`repro.engine.sweep` still answers phase 2 one
-timestamp at a time: build (or fetch) a range-search index for the snapshot,
-collect the live candidates' distinct last clusters, run one batched search.
-This module removes the per-timestamp machinery entirely by observing that
-Algorithm 1 only ever asks *one* question of the geometry: "is cluster ``u``
+The scalar sweep answers phase 2 one timestamp at a time: one range search
+per live candidate against the snapshot's index.  This module removes the
+per-timestamp machinery entirely by observing that Algorithm 1 only ever
+asks *one* question of the geometry: "is cluster ``u``
 of snapshot ``t_i`` within Hausdorff distance δ of cluster ``v`` of snapshot
 ``t_{i+1}``?" — and that every eligible cluster is the last cluster of at
 least one candidate (extensions cover the appended clusters, fresh starts
@@ -23,9 +22,10 @@ computed for the whole database up front, in one columnar pass:
 2. **MBR prefilter** — ``d_H(u, v) <= δ`` requires each cluster's bounding
    box to lie inside the other's δ-expanded box (both directed distances are
    bounded by δ); one vectorized comparison over the candidate pairs.
-3. **Exact refinement** — the surviving pairs go through the same
-   :func:`~repro.engine.kernels.hausdorff_within_pairs` decision the batched
-   searches use, chunked by distance-matrix work.
+3. **Exact refinement** — the surviving pairs go through the exact
+   thresholded-Hausdorff decision
+   :func:`~repro.engine.kernels.hausdorff_within_pairs`, chunked by
+   distance-matrix work.
 
 The result is a CSR adjacency (``indptr`` per source node, ``indices`` of
 δ-reachable successor nodes, sorted so successors come out in snapshot

@@ -1,40 +1,25 @@
-"""Pluggable strategy registry and execution configuration.
-
-Replaces the ad-hoc ``range_search=`` / ``detection_method=`` /
-``dbscan_method=`` string plumbing with registered, introspectable backends.
-Strategies are keyed by ``(kind, name, backend)``:
-
-* kind ``"range_search"`` — the paper's four crowd-discovery search schemes
-  (BRUTE and the R-tree / grid prunings of Section III-A: Lemma 2 for SR,
-  Lemma 3 for IR, the Definition 5 affect region for GRID), each with a
-  ``"python"`` (scalar reference) and a ``"numpy"`` (columnar) backend;
-* kind ``"dbscan"`` — the snapshot-clustering neighbour search (``naive`` /
-  ``grid`` scalar backends, ``grid`` numpy backend);
-* kind ``"detection"`` — the gathering detectors (BRUTE, and Algorithm 2's
-  Test-and-Divide as TAD / bit-vector TAD*, Section III-B).
-
-Factories are registered lazily (imports happen on first ``create``) so this
-module stays dependency-light and can be imported from any layer.
+"""Execution backends and the configuration shared by every mining phase.
 
 :class:`ExecutionConfig` carries the execution knobs — backend choice, the
 row-chunk size bounding kernel memory, and an optional worker count for
-multiprocessing phase-1 clustering over independent snapshots.
+multiprocessing phase-1 clustering over independent snapshots.  The
+backend picks the implementation of each phase: the range-search schemes
+live in :data:`repro.core.range_search.RANGE_SEARCHES` (the numpy backend
+runs the proximity-graph sweep instead) and the gathering detectors come
+from :func:`repro.core.gathering.make_detector`.
+
+This module imports nothing from the mining layers, so any layer can
+import it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Optional
 
-__all__ = [
-    "BACKENDS",
-    "ExecutionConfig",
-    "StrategySpec",
-    "StrategyRegistry",
-    "REGISTRY",
-]
+__all__ = ["BACKENDS", "ExecutionConfig"]
 
-#: Known execution backends, in fallback order.
+#: Known execution backends: the scalar reference first.
 BACKENDS = ("python", "numpy")
 
 
@@ -81,263 +66,3 @@ class ExecutionConfig:
             raise ValueError("workers must be at least 1")
         if self.object_shards < 1:
             raise ValueError("object_shards must be at least 1")
-
-
-@dataclass(frozen=True)
-class StrategySpec:
-    """One registered strategy implementation."""
-
-    kind: str
-    name: str
-    backend: str
-    factory: Callable[..., Any]
-    description: str = ""
-
-    @property
-    def key(self) -> Tuple[str, str, str]:
-        """Registry lookup key: ``(kind, lowercased name, backend)``."""
-        return (self.kind, self.name.lower(), self.backend)
-
-
-class StrategyRegistry:
-    """Registry of named strategy factories, keyed by kind / name / backend."""
-
-    def __init__(self) -> None:
-        self._specs: Dict[Tuple[str, str, str], StrategySpec] = {}
-
-    # -- registration ----------------------------------------------------------
-    def register(
-        self,
-        kind: str,
-        name: str,
-        backend: str = "python",
-        description: str = "",
-        replace: bool = False,
-    ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-        """Decorator registering ``factory`` under ``(kind, name, backend)``."""
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-
-        def decorator(factory: Callable[..., Any]) -> Callable[..., Any]:
-            """Record the factory under the captured key and return it."""
-            spec = StrategySpec(
-                kind=kind, name=name, backend=backend,
-                factory=factory, description=description,
-            )
-            if spec.key in self._specs and not replace:
-                raise ValueError(
-                    f"strategy {name!r} ({backend} backend) already registered for {kind!r}"
-                )
-            self._specs[spec.key] = spec
-            return factory
-
-        return decorator
-
-    # -- lookup ----------------------------------------------------------------
-    def has(self, kind: str, name: str, backend: str) -> bool:
-        """Whether an implementation is registered under this exact key."""
-        return (kind, name.lower(), backend) in self._specs
-
-    def names(self, kind: str) -> List[str]:
-        """Canonical strategy names of a kind, sorted, without duplicates."""
-        seen: Dict[str, str] = {}
-        for spec in self._specs.values():
-            if spec.kind == kind:
-                seen.setdefault(spec.name.lower(), spec.name)
-        return sorted(seen.values())
-
-    def backends(self, kind: str, name: str) -> List[str]:
-        """Backends available for one strategy name."""
-        return [
-            backend
-            for backend in BACKENDS
-            if (kind, name.lower(), backend) in self._specs
-        ]
-
-    def describe(self, kind: Optional[str] = None) -> List[Dict[str, str]]:
-        """Introspection table: one row per registered implementation."""
-        rows = [
-            {
-                "kind": spec.kind,
-                "name": spec.name,
-                "backend": spec.backend,
-                "description": spec.description,
-            }
-            for spec in self._specs.values()
-            if kind is None or spec.kind == kind
-        ]
-        return sorted(rows, key=lambda row: (row["kind"], row["name"], row["backend"]))
-
-    def create(
-        self,
-        kind: str,
-        name: str,
-        backend: str = "python",
-        fallback: bool = True,
-        **kwargs: Any,
-    ) -> Any:
-        """Instantiate a strategy, falling back to the reference backend.
-
-        With ``fallback=True`` (default) a name registered only under the
-        ``"python"`` backend — e.g. the gathering detectors — resolves even
-        when a vectorized backend was requested.
-        """
-        key = (kind, name.lower(), backend)
-        spec = self._specs.get(key)
-        if spec is None and fallback and backend != "python":
-            spec = self._specs.get((kind, name.lower(), "python"))
-        if spec is None:
-            known = self.names(kind)
-            if not known:
-                raise ValueError(f"no strategies registered for kind {kind!r}")
-            raise ValueError(
-                f"unknown {kind} strategy {name!r} (backend {backend!r}); "
-                f"registered names: {tuple(known)}"
-            )
-        return spec.factory(**kwargs)
-
-
-#: The process-wide default registry, pre-populated with the built-ins below.
-REGISTRY = StrategyRegistry()
-
-
-# -- built-in registrations ------------------------------------------------------
-# Factories import lazily so that importing the registry (e.g. from
-# geometry.hausdorff) never drags in the heavier mining layers.
-
-def _register_range_search(registry: StrategyRegistry) -> None:
-    scalar = {
-        "BRUTE": ("BruteForceRangeSearch", "exact Hausdorff check against every cluster"),
-        "SR": ("SimpleRTreeRangeSearch", "R-tree window pruning (Lemma 2), scalar refine"),
-        "IR": ("ImprovedRTreeRangeSearch", "R-tree d_side pruning (Lemma 3), scalar refine"),
-        "GRID": ("GridIndex", "grid affect-region pruning, common-cell refine"),
-    }
-
-    def make_scalar_factory(strategy_name: str) -> Callable[..., Any]:
-        """Factory closure for one scalar range-search scheme."""
-
-        def factory(delta: float, config: Optional[ExecutionConfig] = None) -> Any:
-            """Instantiate the scalar strategy (imports lazily)."""
-            from ..core import range_search as scalar_module
-
-            classes = {
-                "BRUTE": scalar_module.BruteForceRangeSearch,
-                "SR": scalar_module.SimpleRTreeRangeSearch,
-                "IR": scalar_module.ImprovedRTreeRangeSearch,
-                "GRID": scalar_module.GridRangeSearch,
-            }
-            return classes[strategy_name](delta)
-
-        return factory
-
-    def make_vector_factory(strategy_name: str) -> Callable[..., Any]:
-        """Factory closure for one columnar range-search scheme."""
-
-        def factory(delta: float, config: Optional[ExecutionConfig] = None) -> Any:
-            """Instantiate the vectorized strategy (imports lazily)."""
-            from .range_search import VectorizedRangeSearch
-
-            chunk = config.chunk_size if config is not None else 2048
-            return VectorizedRangeSearch(delta, mode=strategy_name, chunk_size=chunk)
-
-        return factory
-
-    for name, (_, description) in scalar.items():
-        registry.register(
-            "range_search", name, backend="python", description=description
-        )(make_scalar_factory(name))
-        registry.register(
-            "range_search", name, backend="numpy",
-            description=f"columnar {name}: vectorized pruning + batched δ-ball refine",
-        )(make_vector_factory(name))
-
-
-def _register_dbscan(registry: StrategyRegistry) -> None:
-    def scalar_factory(method: str) -> Callable[..., Any]:
-        """Factory closure for one scalar DBSCAN neighbour-search method."""
-
-        def factory(config: Optional[ExecutionConfig] = None) -> Any:
-            """Bind the method name into a ``dbscan``-compatible callable."""
-            from ..clustering.dbscan import dbscan
-
-            def run(points: Any, eps: float, min_points: int) -> List[int]:
-                """Label one snapshot's points with the bound method."""
-                return dbscan(points, eps=eps, min_points=min_points, method=method)
-
-            return run
-
-        return factory
-
-    registry.register(
-        "dbscan", "naive", backend="python",
-        description="O(n^2) pairwise neighbour search",
-    )(scalar_factory("naive"))
-    registry.register(
-        "dbscan", "grid", backend="python",
-        description="per-point 3x3 cell-block neighbour search",
-    )(scalar_factory("grid"))
-
-    def numpy_factory(config: Optional[ExecutionConfig] = None) -> Any:
-        """The columnar DBSCAN entry point (imports lazily)."""
-        from .dbscan import dbscan_numpy
-
-        return dbscan_numpy
-
-    registry.register(
-        "dbscan", "grid", backend="numpy",
-        description="columnar neighbour graph via bucketed pair kernel",
-    )(numpy_factory)
-    registry.register(
-        "dbscan", "numpy", backend="numpy",
-        description="alias of the columnar grid backend",
-    )(numpy_factory)
-
-
-def _register_detection(registry: StrategyRegistry) -> None:
-    def factory_for(method: str) -> Callable[..., Any]:
-        """Factory closure for one gathering-detection method."""
-
-        def factory(config: Optional[ExecutionConfig] = None) -> Any:
-            """Bind the method name into a detector callable."""
-            from ..core.gathering import detect_gatherings
-
-            def run(crowd: Any, params: Any) -> Any:
-                """Detect the closed gatherings of one crowd."""
-                return detect_gatherings(crowd, params, method=method)
-
-            return run
-
-        return factory
-
-    registry.register(
-        "detection", "BRUTE", backend="python",
-        description="enumerate-and-test gathering detection",
-    )(factory_for("BRUTE"))
-    registry.register(
-        "detection", "TAD", backend="python",
-        description="test-and-divide gathering detection",
-    )(factory_for("TAD"))
-    registry.register(
-        "detection", "TAD*", backend="python",
-        description="bit-vector accelerated test-and-divide",
-    )(factory_for("TAD*"))
-
-    def packed_factory(config: Optional[ExecutionConfig] = None) -> Any:
-        """The packed-matrix TAD* entry point (imports lazily)."""
-        from ..core.gathering import detect_gatherings_tad_star_packed
-
-        def run(crowd: Any, params: Any) -> Any:
-            """Detect the closed gatherings of one crowd on the bit matrix."""
-            return detect_gatherings_tad_star_packed(crowd, params)
-
-        return run
-
-    registry.register(
-        "detection", "TAD*", backend="numpy",
-        description="test-and-divide on a packed uint64 membership matrix",
-    )(packed_factory)
-
-
-_register_range_search(REGISTRY)
-_register_dbscan(REGISTRY)
-_register_detection(REGISTRY)

@@ -1,25 +1,15 @@
-"""Arena-based batched crowd sweeps — the vectorized phase-2 fast paths.
+"""Arena-based crowd sweep — the vectorized phase-2 path.
 
-Two sweeps re-run Algorithm 1 (closed-crowd discovery) over the same
-append-only candidate arena:
-
-* :func:`sweep_crowds_frontier` — the primary fast path.  The full
-  cluster-to-cluster proximity graph of consecutive snapshots is
-  precomputed by :func:`~repro.engine.proximity.build_proximity_graph`, so
-  at each timestamp the live candidate frontier extends with a *single*
-  CSR ``indptr`` gather: no range-search objects, no per-``(timestamp,
-  last_cluster)`` memo dictionaries, no per-timestamp index caches at all.
-  Candidates carried in from a previous incremental batch (Lemma 4) end at
-  clusters foreign to the graph; they are bridged at the first processed
-  snapshot with one exact Hausdorff decision per distinct carried cluster.
-* :func:`sweep_crowds_batched` — the fallback for batch-capable strategies
-  without proximity-graph support.  At every timestamp all live candidates
-  end at the previous snapshot, so their distinct last clusters form one
-  small query set answered with a single
-  :meth:`~repro.engine.range_search.VectorizedRangeSearch.search_many`
-  call; extension sets are memoised per ``(timestamp, last_cluster)`` for
-  the duration of that timestamp only, and the strategy's per-timestamp
-  index caches are dropped as the sweep moves past them.
+:func:`sweep_crowds_frontier` re-runs Algorithm 1 (closed-crowd discovery)
+over a precomputed proximity graph.  The full cluster-to-cluster proximity
+graph of consecutive snapshots is built by
+:func:`~repro.engine.proximity.build_proximity_graph`, so at each timestamp
+the live candidate frontier extends with a *single* CSR ``indptr`` gather:
+no range-search objects, no per-``(timestamp, last_cluster)`` memo
+dictionaries, no per-timestamp index caches at all.  Candidates carried in
+from a previous incremental batch (Lemma 4) end at clusters foreign to the
+graph; they are bridged at the first processed snapshot with one exact
+Hausdorff decision per distinct carried cluster.
 
 Candidates live as rows of an append-only arena (parent row, appended
 cluster, lifetime) instead of per-object :class:`~repro.core.crowd.Crowd`
@@ -31,23 +21,23 @@ Timestamps whose snapshot has no cluster meeting the support threshold are
 skipped without touching the geometry at all: every live candidate either
 closes (Lemma 1) or dies, and nothing can start.
 
-Both sweeps are pure re-orderings of the reference loop's work, so their
-output — closed crowds, open candidates, and their order — is identical to
-the scalar path's; the parity suites assert this label-for-label.
+The sweep is a pure re-ordering of the reference loop's work, so its output
+— closed crowds, open candidates, and their order — is identical to the
+scalar path's; the parity suites assert this label-for-label.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..clustering.snapshot import ClusterDatabase, SnapshotCluster
+from ..clustering.snapshot import SnapshotCluster
 from ..core.crowd import Crowd
 from .kernels import gather_ranges, hausdorff_within_many
 from .proximity import ProximityGraph, cluster_coordinates
 
-__all__ = ["sweep_crowds_batched", "sweep_crowds_frontier"]
+__all__ = ["sweep_crowds_frontier"]
 
 
 class _CandidateArena:
@@ -56,63 +46,43 @@ class _CandidateArena:
     Row ``r`` represents the candidate obtained by appending ``cluster[r]``
     to the candidate of row ``parent[r]`` (``-1`` for none).  A row carried
     over from a previous incremental batch stores its full prefix crowd in
-    :attr:`bases` instead of a cluster chain.
+    :attr:`bases` instead of a cluster chain.  :attr:`last_node` holds each
+    row's last graph node id (``-1`` for a carried-in base, whose cluster is
+    foreign to the graph).
     """
 
-    __slots__ = ("parent", "cluster", "length", "last_key", "bases")
+    __slots__ = ("parent", "cluster", "length", "last_node", "bases")
 
     def __init__(self) -> None:
         self.parent: List[int] = []
         self.cluster: List[Optional[SnapshotCluster]] = []
         self.length: List[int] = []
-        # The sweep's handle on a row's last cluster, computed once per row
-        # and looked up several times per timestamp: the batched sweep
-        # stores the (timestamp, id) key (query collection, extension-memo
-        # hits), the frontier sweep stores the graph node id (``-1`` for a
-        # carried-in base whose cluster is foreign to the graph).
-        self.last_key: List[Union[Tuple[float, int], int]] = []
+        self.last_node: List[int] = []
         self.bases: Dict[int, Crowd] = {}
 
-    def add_base(self, crowd: Crowd, key: Union[Tuple[float, int], int, None] = None) -> int:
+    def add_base(self, crowd: Crowd) -> int:
         """Root row for a candidate carried in from a previous batch."""
-        if key is None:
-            key = crowd.clusters[-1].key()
-        row = self._add(-1, None, crowd.lifetime, key)
+        row = self._add(-1, None, crowd.lifetime, -1)
         self.bases[row] = crowd
         return row
 
-    def add_start(
-        self, cluster: SnapshotCluster, key: Union[Tuple[float, int], int, None] = None
-    ) -> int:
-        """Root row for a fresh single-cluster candidate."""
-        return self._add(-1, cluster, 1, cluster.key() if key is None else key)
+    def add_start(self, cluster: SnapshotCluster, node: int) -> int:
+        """Root row for a fresh single-cluster candidate at graph ``node``."""
+        return self._add(-1, cluster, 1, node)
 
-    def extend(
-        self, row: int, cluster: SnapshotCluster, key: Union[Tuple[float, int], int]
-    ) -> int:
+    def extend(self, row: int, cluster: SnapshotCluster, node: int) -> int:
         """Child row: the candidate of ``row`` extended by one cluster."""
-        return self._add(row, cluster, self.length[row] + 1, key)
+        return self._add(row, cluster, self.length[row] + 1, node)
 
     def _add(
-        self,
-        parent: int,
-        cluster: Optional[SnapshotCluster],
-        length: int,
-        key: Union[Tuple[float, int], int],
+        self, parent: int, cluster: Optional[SnapshotCluster], length: int, node: int
     ) -> int:
         row = len(self.parent)
         self.parent.append(parent)
         self.cluster.append(cluster)
         self.length.append(length)
-        self.last_key.append(key)
+        self.last_node.append(node)
         return row
-
-    def last_cluster(self, row: int) -> SnapshotCluster:
-        """The candidate's most recent cluster (its range-search query)."""
-        cluster = self.cluster[row]
-        if cluster is not None:
-            return cluster
-        return self.bases[row].clusters[-1]
 
     def materialize(self, row: int) -> Crowd:
         """Rebuild the candidate's full cluster sequence from the row chain."""
@@ -125,105 +95,6 @@ class _CandidateArena:
             chain.append(cluster)
             row = self.parent[row]
         return Crowd(tuple(reversed(chain)))
-
-
-def sweep_crowds_batched(
-    cluster_db: ClusterDatabase,
-    params,
-    searcher,
-    initial_candidates: Optional[Sequence[Crowd]] = None,
-    start_after: Optional[float] = None,
-):
-    """Run the Algorithm 1 sweep with batched searches and the row arena.
-
-    Parameters mirror :func:`repro.core.crowd_discovery.discover_closed_crowds`
-    except that ``searcher`` must already be resolved and expose
-    ``search_many`` (the columnar backend does).  Returns the same
-    :class:`~repro.core.crowd_discovery.CrowdDiscoveryResult`.
-    """
-    from ..core.crowd_discovery import CrowdDiscoveryResult
-
-    arena = _CandidateArena()
-    closed: List[Crowd] = []
-    current: List[int] = []
-    for candidate in initial_candidates or ():
-        current.append(arena.add_base(candidate))
-
-    timestamps = [
-        t for t in cluster_db.timestamps() if start_after is None or t > start_after
-    ]
-    last_processed: Optional[float] = None
-    drop_stale = getattr(searcher, "drop_before", None)
-
-    for t in timestamps:
-        previous = last_processed
-        last_processed = t
-        if drop_stale is not None and previous is not None:
-            # Frames/indexes older than the query snapshot can never be
-            # touched again — the sweep only ever looks one timestamp back —
-            # so the strategy's per-timestamp caches stay O(1), not O(sweep).
-            drop_stale(previous)
-        clusters_now = [c for c in cluster_db.clusters_at(t) if len(c) >= params.mc]
-        if not clusters_now:
-            # Nothing can extend or start here: close the long candidates and
-            # drop the rest without issuing a single range-search query.
-            for row in current:
-                if arena.length[row] >= params.kc:
-                    closed.append(arena.materialize(row))
-            current = []
-            continue
-
-        # One batched search per distinct last cluster: all candidates end at
-        # the previous snapshot, so this is the full cluster-to-cluster block
-        # between consecutive snapshots, computed once.
-        memo: Dict[Tuple[float, int], Optional[List[SnapshotCluster]]] = {}
-        query_keys: List[Tuple[float, int]] = []
-        queries: List[SnapshotCluster] = []
-        last_keys = arena.last_key
-        for row in current:
-            key = last_keys[row]
-            if key not in memo:
-                memo[key] = None
-                queries.append(arena.last_cluster(row))
-                query_keys.append(key)
-        if queries:
-            for key, matches in zip(
-                query_keys, searcher.search_many(queries, t, clusters_now)
-            ):
-                # Pair each match with its key once; every candidate sharing
-                # this last cluster reuses the pairs.
-                memo[key] = [(match, match.key()) for match in matches]
-
-        appended_keys: Set[Tuple[float, int]] = set()
-        next_rows: List[int] = []
-        for row in current:
-            matches = memo[last_keys[row]]
-            if matches:
-                for match, match_key in matches:
-                    appended_keys.add(match_key)
-                    next_rows.append(arena.extend(row, match, match_key))
-            elif arena.length[row] >= params.kc:
-                closed.append(arena.materialize(row))
-
-        for cluster in clusters_now:
-            if cluster.key() not in appended_keys:
-                next_rows.append(arena.add_start(cluster))
-        current = next_rows
-
-    if last_processed is None and initial_candidates:
-        # Nothing new was processed; keep the caller's candidates untouched.
-        open_candidates = list(initial_candidates)
-    else:
-        open_candidates = [arena.materialize(row) for row in current]
-    for row, candidate in zip(current, open_candidates):
-        if arena.length[row] >= params.kc:
-            closed.append(candidate)
-
-    return CrowdDiscoveryResult(
-        closed_crowds=closed,
-        open_candidates=open_candidates,
-        last_timestamp=last_processed,
-    )
 
 
 def sweep_crowds_frontier(
@@ -251,14 +122,14 @@ def sweep_crowds_frontier(
         # Carried-in candidates end at clusters of the *previous* batch,
         # which are not graph nodes: mark them with the -1 sentinel and
         # bridge them at the first processed snapshot.
-        current.append(arena.add_base(candidate, key=-1))
+        current.append(arena.add_base(candidate))
 
     kc = params.kc
     clusters_of = graph.clusters
     node_bounds = graph.node_bounds
     indptr = graph.indptr
     indices = graph.indices
-    last_keys = arena.last_key
+    last_nodes = arena.last_node
     lengths = arena.length
     last_processed: Optional[float] = None
 
@@ -280,7 +151,7 @@ def sweep_crowds_frontier(
         if current:
             # One gather per timestamp: every live row's successor list is a
             # slice of the CSR indices at its last node.
-            nodes = np.asarray([last_keys[row] for row in current], dtype=np.int64)
+            nodes = np.asarray([last_nodes[row] for row in current], dtype=np.int64)
             resident = nodes >= 0
             if resident.any():
                 starts = indptr[nodes[resident]]
@@ -315,7 +186,7 @@ def sweep_crowds_frontier(
 
         for node in range(begin, end):
             if not appended[node - begin]:
-                next_rows.append(arena.add_start(clusters_of[node], key=node))
+                next_rows.append(arena.add_start(clusters_of[node], node))
         current = next_rows
 
     if last_processed is None and initial_candidates:
@@ -355,7 +226,7 @@ def _bridge_base_rows(
     per_cluster: Dict[Tuple[float, int], List[int]] = {}
     matches: Dict[int, List[int]] = {}
     for row in rows:
-        if arena.last_key[row] != -1:
+        if arena.last_node[row] != -1:
             continue
         cluster = arena.bases[row].clusters[-1]
         key = cluster.key()

@@ -7,13 +7,12 @@ The read path of the system, layered for concurrency:
   (:class:`~repro.serve.pool.SingleStorePool` wraps one in-process handle);
 * :class:`~repro.serve.app.PatternApp` — the transport-agnostic request
   core: filtered queries, cursor pagination, ETag/If-None-Match, and a
-  generation-keyed result cache;
+  generation-keyed result cache; one-shot ``repro query`` answers through
+  it too;
 * :class:`~repro.serve.async_http.AsyncPatternServer` — the asyncio HTTP
   front end (``repro query --serve``);
 * :func:`~repro.serve.http.make_server` — the threaded stdlib front end,
-  kept as the parity oracle (``--server-impl threaded``);
-* :class:`~repro.serve.service.PatternQueryService` — the embeddable
-  query-with-cache API for Python callers.
+  kept as the parity oracle (``--server-impl threaded``).
 
 Load-test the tier with ``repro loadtest`` (see :mod:`repro.loadtest`).
 """
@@ -22,13 +21,10 @@ from .app import PatternApp, Response, decode_cursor, encode_cursor
 from .async_http import AsyncPatternServer, run_async_server, running_server
 from .http import make_server, serve_forever
 from .pool import ReadConnectionPool, SingleStorePool, open_read_pool
-from .service import QUERY_KINDS, PatternQueryService
 
 __all__ = [
-    "QUERY_KINDS",
     "AsyncPatternServer",
     "PatternApp",
-    "PatternQueryService",
     "ReadConnectionPool",
     "Response",
     "SingleStorePool",

@@ -344,12 +344,7 @@ class PatternApp:
                 results.append(row)
             return records, results
 
-        reader = getattr(self.pool, "read", None)
-        if reader is not None:
-            records, results = reader(_query)
-        else:  # duck-typed pools that predate read(); acquire directly
-            with self.pool.acquire() as store:
-                records, results = _query(store)
+        records, results = self.pool.read(_query)
         next_cursor = None
         if limit is not None and limit > 0 and len(records) == limit:
             last = records[-1]

@@ -5,29 +5,16 @@ the asyncio server (``repro query --serve --server-impl threaded``): both
 front ends delegate every request to the same
 :class:`~repro.serve.app.PatternApp`, so for any request they return
 byte-identical JSON — the concurrency parity suite asserts exactly that.
-
-:func:`make_server` accepts either a ready :class:`PatternApp` or, for
-backwards compatibility, a :class:`~repro.serve.service.PatternQueryService`
-(whose store is wrapped in a single-connection pool).
 """
 
 from __future__ import annotations
 
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Tuple, Union
+from typing import Tuple
 
 from .app import PatternApp
-from .pool import SingleStorePool
-from .service import PatternQueryService
 
 __all__ = ["make_server", "serve_forever"]
-
-
-def _as_app(target: Union[PatternApp, PatternQueryService]) -> PatternApp:
-    """Coerce a query service (legacy entry point) into a shared app."""
-    if isinstance(target, PatternApp):
-        return target
-    return PatternApp(SingleStorePool(target.store), cache_size=target.cache_size)
 
 
 class _PatternQueryHandler(BaseHTTPRequestHandler):
@@ -55,12 +42,12 @@ class _PatternQueryHandler(BaseHTTPRequestHandler):
 
 
 def make_server(
-    target: Union[PatternApp, PatternQueryService],
+    app: PatternApp,
     host: str = "127.0.0.1",
     port: int = 0,
     quiet: bool = True,
 ) -> ThreadingHTTPServer:
-    """Build a ready-to-run threading HTTP server over an app or service.
+    """Build a ready-to-run threading HTTP server over an app.
 
     ``port=0`` binds an ephemeral port (useful in tests); the bound address
     is available as ``server.server_address``.  The caller owns the server's
@@ -69,13 +56,13 @@ def make_server(
     handler = type(
         "PatternQueryHandler",
         (_PatternQueryHandler,),
-        {"app": _as_app(target), "quiet": quiet},
+        {"app": app, "quiet": quiet},
     )
     return ThreadingHTTPServer((host, port), handler)
 
 
 def serve_forever(
-    target: Union[PatternApp, PatternQueryService],
+    app: PatternApp,
     host: str = "127.0.0.1",
     port: int = 8080,
     quiet: bool = False,
@@ -85,7 +72,7 @@ def serve_forever(
     Returns the bound ``(host, port)`` after shutdown — chiefly so the CLI
     can report where it had been listening.
     """
-    server = make_server(target, host=host, port=port, quiet=quiet)
+    server = make_server(app, host=host, port=port, quiet=quiet)
     bound = server.server_address
     try:
         server.serve_forever()

@@ -12,7 +12,7 @@ pattern twice — a shard boundary re-derivation, an at-least-once eviction
 flush, a merge of two stores — is idempotent.
 
 The store is the single source of truth the serving layer
-(:class:`repro.serve.PatternQueryService`) reads from.
+(:class:`repro.serve.PatternApp`) reads from.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Randomized scenarios from :mod:`repro.datagen` are mined with both the
 ``"python"`` reference backend and the ``"numpy"`` columnar backend; the
 resulting snapshot clusters, closed crowds and closed gatherings must be
-identical, for every range-search scheme.
+identical.  The numpy backend runs one phase-2 path (the proximity-graph
+sweep), which must agree with every scalar range-search scheme.
 """
 
 import numpy as np
@@ -75,8 +76,7 @@ class TestRangeSearchParity:
         cluster_db = GatheringMiner(PARAMS).cluster(scenario.database)
         reference = discover_closed_crowds(cluster_db, PARAMS, strategy=strategy)
         vectorized = discover_closed_crowds(
-            cluster_db, PARAMS, strategy=strategy,
-            config=ExecutionConfig(backend="numpy"),
+            cluster_db, PARAMS, config=ExecutionConfig(backend="numpy")
         )
         assert crowd_keys(vectorized.closed_crowds) == crowd_keys(reference.closed_crowds)
         assert crowd_keys(vectorized.open_candidates) == crowd_keys(reference.open_candidates)

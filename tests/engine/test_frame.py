@@ -1,91 +1,91 @@
-"""Tests for the columnar snapshot store."""
+"""Tests for the columnar snapshot frames built by batched phase 1."""
 
 import numpy as np
 import pytest
 
-from repro.clustering.snapshot import ClusterDatabase, SnapshotCluster
-from repro.engine.frame import FrameStore, SnapshotFrame
+from repro.clustering.snapshot import build_cluster_database
+from repro.engine.phase1 import build_cluster_database_batched, frames_from_arena
 from repro.geometry.point import Point
+from repro.trajectory.trajectory import Trajectory, TrajectoryDatabase
+
+#: Member positions of one snapshot: three clusters at eps=12, min_points=1.
+POSITIONS = {4: (0, 0), 1: (10, 5), 9: (3, 3), 7: (100, 100), 2: (50, 60), 8: (52, 61)}
 
 
-def make_cluster(timestamp, cluster_id, members):
-    return SnapshotCluster(
-        timestamp=timestamp,
-        members={oid: Point(float(x), float(y)) for oid, (x, y) in members.items()},
-        cluster_id=cluster_id,
-    )
+def stationary_database(positions):
+    database = TrajectoryDatabase()
+    for oid, (x, y) in positions.items():
+        point = Point(float(x), float(y))
+        database.add(Trajectory(oid, [(3.0, point), (4.0, point)]))
+    return database
 
 
 @pytest.fixture
 def clusters():
-    return [
-        make_cluster(3.0, 0, {4: (0, 0), 1: (10, 5), 9: (3, 3)}),
-        make_cluster(3.0, 1, {7: (100, 100)}),
-        make_cluster(3.0, 2, {2: (50, 60), 8: (52, 61)}),
-    ]
+    cdb = build_cluster_database_batched(
+        stationary_database(POSITIONS), eps=12.0, min_points=1
+    )
+    return cdb.clusters_at(3.0)
+
+
+@pytest.fixture
+def scalar_clusters():
+    cdb = build_cluster_database(
+        stationary_database(POSITIONS), eps=12.0, min_points=1, method="grid"
+    )
+    return cdb.clusters_at(3.0)
 
 
 class TestSnapshotFrame:
     def test_shape_and_offsets(self, clusters):
-        frame = SnapshotFrame.from_clusters(3.0, clusters)
-        assert frame.cluster_count == 3
-        assert frame.point_count == 6
-        assert frame.offsets.tolist() == [0, 3, 4, 6]
+        frame = clusters[0]._frame
+        assert all(cluster._frame is frame for cluster in clusters)
+        assert frame.clusters == tuple(clusters)
+        assert len(frame.clusters) == 3
+        assert len(frame.coords) == len(frame.object_ids) == 6
+        assert frame.offsets.tolist() == [0, 3, 5, 6]
         assert frame.cluster_ids.tolist() == [0, 1, 2]
 
     def test_rows_sorted_by_object_id_within_cluster(self, clusters):
-        frame = SnapshotFrame.from_clusters(3.0, clusters)
-        assert frame.cluster_object_ids(0).tolist() == [1, 4, 9]
+        frame = clusters[0]._frame
+        start, end = frame.segment(0)
+        assert frame.object_ids[start:end].tolist() == [1, 4, 9]
         assert frame.cluster_coords(0)[0].tolist() == [10.0, 5.0]
 
-    def test_codec_round_trip(self, clusters):
-        frame = SnapshotFrame.from_clusters(3.0, clusters)
-        for oid in (1, 4, 9, 7, 2, 8):
-            assert frame.object_of(frame.row_of(oid)) == oid
-        with pytest.raises(KeyError):
-            frame.row_of(999)
+    def test_codec_round_trip(self, clusters, scalar_clusters):
+        # Every frame row maps back to the scalar cluster's member point.
+        frame = clusters[0]._frame
+        for index, scalar in enumerate(scalar_clusters):
+            start, end = frame.segment(index)
+            rows = {
+                int(oid): Point(float(x), float(y))
+                for oid, (x, y) in zip(frame.object_ids[start:end], frame.coords[start:end])
+            }
+            assert rows == scalar.members
 
-    def test_to_clusters_round_trip(self, clusters):
-        frame = SnapshotFrame.from_clusters(3.0, clusters)
-        rebuilt = frame.to_clusters()
-        assert [c.key() for c in rebuilt] == [c.key() for c in clusters]
-        for original, copy in zip(clusters, rebuilt):
-            assert original.members == copy.members
+    def test_to_clusters_round_trip(self, clusters, scalar_clusters):
+        # The frame's cluster views materialise the scalar members exactly.
+        assert [c.key() for c in clusters] == [c.key() for c in scalar_clusters]
+        for view, scalar in zip(clusters, scalar_clusters):
+            assert view._members is None  # lazy until first read
+            assert view.members == scalar.members
+            assert list(view.members) == sorted(scalar.members)
 
-    def test_mbrs_match_cluster_mbrs(self, clusters):
-        frame = SnapshotFrame.from_clusters(3.0, clusters)
-        for index, cluster in enumerate(clusters):
+    def test_mbrs_match_cluster_mbrs(self, clusters, scalar_clusters):
+        frame = clusters[0]._frame
+        for index, cluster in enumerate(scalar_clusters):
             mbr = cluster.mbr
             assert frame.mbrs()[index].tolist() == [
                 mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y,
             ]
 
-    def test_cells_are_cached_per_cell_size(self, clusters):
-        frame = SnapshotFrame.from_clusters(3.0, clusters)
-        first = frame.cells(10.0)
-        assert frame.cells(10.0) is first
-        assert frame.cells(20.0) is not first
-
     def test_empty_snapshot(self):
-        frame = SnapshotFrame.from_clusters(1.0, [])
-        assert frame.cluster_count == 0
-        assert frame.point_count == 0
-        assert frame.to_clusters() == []
-
-
-class TestFrameStore:
-    def test_caches_by_timestamp_and_count(self, clusters):
-        store = FrameStore()
-        frame = store.frame_for(3.0, clusters)
-        assert store.frame_for(3.0, clusters) is frame
-        # A grown snapshot (incremental batch) invalidates the cache entry.
-        grown = clusters + [make_cluster(3.0, 3, {11: (7, 7)})]
-        assert store.frame_for(3.0, grown) is not frame
-
-    def test_from_cluster_db(self, clusters):
-        cdb = ClusterDatabase()
-        cdb.add_snapshot(3.0, clusters)
-        cdb.add_snapshot(4.0, [make_cluster(4.0, 0, {1: (1, 1)})])
-        store = FrameStore.from_cluster_db(cdb)
-        assert len(store) == 2
-        assert store.frame_for(4.0, cdb.clusters_at(4.0)).point_count == 1
+        # An all-noise snapshot yields no frame, and its database snapshot
+        # stays present but empty.
+        database = stationary_database({1: (0, 0), 2: (500, 500)})
+        arena = database.positions_matrix(database.timestamps(step=1.0))
+        labels = np.full(len(arena.object_ids), -1, dtype=np.int64)
+        assert frames_from_arena(arena, labels) == {}
+        cdb = build_cluster_database_batched(database, eps=12.0, min_points=2)
+        assert cdb.snapshot_count() == 2
+        assert cdb.clusters_at(3.0) == []

@@ -8,7 +8,7 @@ import pytest
 from repro.clustering.dbscan import dbscan
 from repro.clustering.snapshot import SnapshotCluster, build_cluster_database
 from repro.engine.dbscan import dbscan_numpy_batched
-from repro.engine.frame import FrameBackedCluster, FrameStore, SnapshotFrame
+from repro.engine.frame import FrameBackedCluster
 from repro.engine.kernels import neighbor_pairs, neighbor_pairs_batched
 from repro.engine.parallel import build_cluster_database_parallel
 from repro.engine.phase1 import build_cluster_database_batched, frames_from_arena
@@ -164,37 +164,17 @@ class TestFrameBackedCluster:
         restored = pickle.loads(pickle.dumps(clusters))
         assert restored == clusters
 
-    def test_from_clusters_full_set_returns_source_frame(self):
-        cdb = self._batched()
-        t, clusters = self._first_populated(cdb)
-        source = clusters[0]._frame
-        assert SnapshotFrame.from_clusters(t, clusters) is source
-
-    def test_from_clusters_subset_gathers_columns(self):
-        cdb = self._batched()
-        for t in cdb.timestamps():
-            clusters = cdb.clusters_at(t)
-            if len(clusters) >= 2:
-                subset = clusters[1:]
-                frame = SnapshotFrame.from_clusters(t, subset)
-                assert frame.clusters == tuple(subset)
-                rebuilt = frame.to_clusters()
-                assert [c.members for c in rebuilt] == [c.members for c in subset]
-                return
-        pytest.skip("no multi-cluster snapshot in this database")
-
 
 class TestBatchedBuilder:
-    def test_frames_ride_along_and_seed_stores(self):
+    def test_each_snapshot_is_one_frame(self):
         cdb = self._build()
-        assert isinstance(cdb.frames, FrameStore)
-        store = FrameStore()
-        for frame in cdb.frames.frames():
-            store.add(frame)
         for t in cdb.timestamps():
             clusters = cdb.clusters_at(t)
             if clusters:
-                assert store.latest(t) is clusters[0]._frame
+                frame = clusters[0]._frame
+                assert frame.timestamp == t
+                assert frame.clusters == tuple(clusters)
+                assert [c._index for c in clusters] == list(range(len(frame.clusters)))
 
     def _build(self):
         database = _random_database(seed=21)
@@ -220,7 +200,6 @@ class TestBatchedBuilder:
             database, eps=120.0, min_points=2, method="numpy", workers=2
         )
         assert parallel.timestamps() == serial.timestamps()
-        assert parallel.frames is not None
         for t in serial.timestamps():
             assert [
                 (c.cluster_id, c.members) for c in parallel.clusters_at(t)
@@ -232,7 +211,8 @@ class TestBatchedBuilder:
         labels = dbscan_numpy_batched(arena.coords, arena.offsets, 120.0, 2)
         frames = frames_from_arena(arena, labels)
         for frame in frames.values():
-            for index in range(frame.cluster_count):
-                ids = frame.cluster_object_ids(index).tolist()
+            for index in range(len(frame.clusters)):
+                start, end = frame.segment(index)
+                ids = frame.object_ids[start:end].tolist()
                 assert ids == sorted(ids)
                 assert frame.cluster_ids[index] == index

@@ -1,14 +1,22 @@
-"""Tests for the strategy registry and ExecutionConfig."""
+"""Tests for ExecutionConfig and the range-search and detector tables."""
 
 import pytest
 
+from repro.cli import main
+from repro.core.gathering import (
+    DETECTORS,
+    detect_gatherings_tad_star_packed,
+    make_detector,
+)
 from repro.core.range_search import (
+    NUMPY_SCHEMES,
+    RANGE_SEARCHES,
     BruteForceRangeSearch,
     GridRangeSearch,
     make_range_search,
+    runs_proximity_graph,
 )
-from repro.engine.range_search import VectorizedRangeSearch
-from repro.engine.registry import REGISTRY, ExecutionConfig, StrategyRegistry
+from repro.engine.registry import ExecutionConfig
 
 
 class TestExecutionConfig:
@@ -30,52 +38,55 @@ class TestExecutionConfig:
 
 class TestBuiltinRegistrations:
     def test_range_search_names(self):
-        assert REGISTRY.names("range_search") == ["BRUTE", "GRID", "IR", "SR"]
-
-    def test_every_range_search_has_both_backends(self):
-        for name in REGISTRY.names("range_search"):
-            assert REGISTRY.backends("range_search", name) == ["python", "numpy"]
+        assert list(RANGE_SEARCHES) == ["BRUTE", "SR", "IR", "GRID"]
+        assert list(NUMPY_SCHEMES) == ["GRID"]
 
     def test_detection_backends(self):
-        # TAD* has a packed-matrix numpy backend; the others are scalar-only
-        # and resolve through the registry's python fallback.
-        assert REGISTRY.backends("detection", "TAD*") == ["python", "numpy"]
-        assert REGISTRY.backends("detection", "TAD") == ["python"]
-        assert REGISTRY.backends("detection", "BRUTE") == ["python"]
+        # TAD* has a packed-matrix numpy variant; the others run the same
+        # scalar detector on either backend.
+        assert sorted(DETECTORS) == [
+            ("BRUTE", "python"),
+            ("TAD", "python"),
+            ("TAD*", "numpy"),
+            ("TAD*", "python"),
+        ]
 
-    def test_describe_rows(self):
-        rows = REGISTRY.describe("dbscan")
-        assert all(row["kind"] == "dbscan" for row in rows)
-        assert {(row["name"], row["backend"]) for row in rows} >= {
-            ("naive", "python"),
-            ("grid", "python"),
-            ("grid", "numpy"),
+    def test_describe_rows(self, capsys):
+        assert main(["backends", "--kind", "range_search"]) == 0
+        rows = [line.split(maxsplit=3) for line in capsys.readouterr().out.splitlines()]
+        assert rows[0] == ["kind", "name", "backend", "description"]
+        assert all(row[0] == "range_search" for row in rows[1:])
+        assert {(row[1], row[2]) for row in rows[1:]} == {
+            ("BRUTE", "python"),
+            ("SR", "python"),
+            ("IR", "python"),
+            ("GRID", "python"),
+            ("GRID", "numpy"),
         }
 
     def test_create_is_case_insensitive(self):
-        assert isinstance(
-            REGISTRY.create("range_search", "grid", delta=100.0), GridRangeSearch
-        )
+        assert isinstance(make_range_search("grid", 100.0), GridRangeSearch)
+        assert make_detector("tad*", "numpy") is detect_gatherings_tad_star_packed
 
     def test_create_numpy_backend(self):
-        strategy = REGISTRY.create(
-            "range_search", "GRID", backend="numpy", delta=100.0,
-            config=ExecutionConfig(chunk_size=7),
-        )
-        assert isinstance(strategy, VectorizedRangeSearch)
-        assert strategy.chunk_size == 7
+        assert make_detector("TAD*", "numpy") is detect_gatherings_tad_star_packed
+        assert make_detector("TAD*", "python") is not detect_gatherings_tad_star_packed
 
     def test_detection_falls_back_to_python(self):
-        detector = REGISTRY.create("detection", "TAD*", backend="numpy")
-        assert callable(detector)
+        detector = make_detector("TAD", "numpy")
+        assert detector.keywords == {"method": "TAD"}
+
+    def test_unknown_kind_raises(self, capsys):
+        # The dbscan kind is gone: phase-1 neighbour search is not a choice.
+        with pytest.raises(SystemExit):
+            main(["backends", "--kind", "dbscan"])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="quadtree"):
-            REGISTRY.create("range_search", "quadtree", delta=1.0)
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError, match="no strategies"):
-            REGISTRY.create("teleport", "GRID")
+            make_range_search("quadtree", 1.0)
+        with pytest.raises(ValueError, match="quadtree"):
+            make_detector("quadtree", "python")
 
 
 class TestMakeRangeSearchDelegation:
@@ -83,34 +94,11 @@ class TestMakeRangeSearchDelegation:
         assert isinstance(make_range_search("BRUTE", 10.0), BruteForceRangeSearch)
 
     def test_numpy_backend(self):
-        strategy = make_range_search("SR", 10.0, backend="numpy")
-        assert isinstance(strategy, VectorizedRangeSearch)
-        assert strategy.mode == "SR"
-
-
-class TestCustomRegistration:
-    def test_register_and_create(self):
-        registry = StrategyRegistry()
-
-        @registry.register("range_search", "CONST", description="test double")
-        def factory(delta, config=None):
-            return ("const", delta)
-
-        assert registry.names("range_search") == ["CONST"]
-        assert registry.create("range_search", "const", delta=5.0) == ("const", 5.0)
-
-    def test_duplicate_registration_rejected(self):
-        registry = StrategyRegistry()
-        registry.register("dbscan", "x")(lambda: None)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register("dbscan", "x")(lambda: None)
-        # ... unless replace=True is requested.
-        registry.register("dbscan", "x", replace=True)(lambda: "new")
-        assert registry.create("dbscan", "x") == "new"
-
-    def test_fallback_can_be_disabled(self):
-        registry = StrategyRegistry()
-        registry.register("dbscan", "only-python")(lambda: "scalar")
-        assert registry.create("dbscan", "only-python", backend="numpy") == "scalar"
-        with pytest.raises(ValueError):
-            registry.create("dbscan", "only-python", backend="numpy", fallback=False)
+        assert runs_proximity_graph(None, "numpy")
+        assert runs_proximity_graph("grid", "numpy")
+        assert not runs_proximity_graph("SR", "python")
+        assert not runs_proximity_graph(make_range_search("SR", 10.0), "numpy")
+        with pytest.raises(ValueError, match="--backend python"):
+            runs_proximity_graph("SR", "numpy")
+        with pytest.raises(ValueError, match="quadtree"):
+            runs_proximity_graph("quadtree", "numpy")

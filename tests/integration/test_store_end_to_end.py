@@ -19,7 +19,7 @@ from repro.cli import main
 from repro.core.config import GatheringParameters
 from repro.core.pipeline import GatheringMiner
 from repro.datagen.scenarios import city_scenario
-from repro.serve import PatternQueryService, make_server
+from repro.serve import PatternApp, SingleStorePool, make_server
 from repro.store import PatternStore
 from repro.trajectory.io import save_csv
 
@@ -118,7 +118,7 @@ def test_serve_rejects_one_shot_filter_flags(mined_store, capsys):
 
 def test_http_endpoint_agrees_with_the_store(mined_store, reference):
     with PatternStore(mined_store, readonly=True) as store:
-        server = make_server(PatternQueryService(store))
+        server = make_server(PatternApp(SingleStorePool(store)))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

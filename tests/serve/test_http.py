@@ -14,7 +14,7 @@ from repro.clustering.snapshot import SnapshotCluster
 from repro.core.crowd import Crowd
 from repro.core.gathering import Gathering
 from repro.geometry.point import Point
-from repro.serve import PatternQueryService, make_server
+from repro.serve import PatternApp, SingleStorePool, make_server
 from repro.store import PatternStore
 
 
@@ -35,7 +35,7 @@ def server():
     )
     store.add_crowds([near, far])
     store.add_gatherings([Gathering(crowd=near, participator_ids=frozenset({1, 2, 3}))])
-    server = make_server(PatternQueryService(store))
+    server = make_server(PatternApp(SingleStorePool(store)))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

@@ -104,6 +104,33 @@ class TestMine:
         assert exit_code == 1
         assert "error" in captured.err
 
+    @pytest.mark.parametrize("command", ("mine", "stream"))
+    def test_numpy_backend_rejects_a_scalar_scheme_before_loading(
+        self, command, tmp_path, capsys
+    ):
+        # The input does not exist: the scheme error must come first, i.e.
+        # before the input is read, let alone clustered.
+        exit_code = main(
+            [command, "--input", str(tmp_path / "nope.csv"), "--range-search", "SR"]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert "'SR'" in captured.err and "--backend python" in captured.err
+        assert "nope.csv" not in captured.err
+
+    def test_python_backend_mines_with_a_scalar_scheme(self, fleet_csv, tmp_path, capsys):
+        flags = ["--kc", "10", "--kp", "6", "--mp", "4", "--mc", "5"]
+        numpy_json, python_json = tmp_path / "numpy.json", tmp_path / "python.json"
+        assert main(["mine", "--input", str(fleet_csv), *flags, "--json", str(numpy_json)]) == 0
+        assert main(
+            [
+                "mine", "--input", str(fleet_csv), *flags, "--backend", "python",
+                "--range-search", "SR", "--json", str(python_json),
+            ]
+        ) == 0
+        capsys.readouterr()
+        assert json.loads(python_json.read_text()) == json.loads(numpy_json.read_text())
+
 
 GARBLED_CSV = Path(__file__).parent / "fixtures" / "ingest" / "garbled.csv"
 

@@ -33,7 +33,7 @@ def test_api_doc_has_snippets_for_every_documented_class():
         "ShardedMiningDriver",
         "StreamingGatheringService",
         "PatternStore",
-        "PatternQueryService",
+        "PatternApp",
     ):
         assert name in snippets, f"docs/api.md has no runnable snippet using {name}"
 
