@@ -18,10 +18,11 @@ paper compares three pruning schemes on top of the brute-force approach:
 Each strategy builds one index per timestamp lazily and caches it, because a
 single timestamp serves range searches from many crowd candidates.
 
-These scalar schemes are the paper-faithful reference.  The ``"numpy"``
-backend answers the same question for every consecutive snapshot pair at
-once (:mod:`repro.engine.proximity`), with GRID's answer; asking it for
-another scheme is an error (:func:`runs_proximity_graph`).
+These scalar schemes are the paper-faithful reference and the parity
+oracle.  The ``"numpy"`` backend runs no per-scheme search: it computes
+every consecutive-snapshot δ-edge in one pass (:mod:`repro.engine.proximity`),
+which is the answer every scheme gives, so by name it accepts only GRID
+(:func:`runs_proximity_graph`).
 """
 
 from __future__ import annotations

@@ -20,8 +20,6 @@ __all__ = [
     "ExecutionConfig",
     "SnapshotFrame",
     "MembershipMatrix",
-    "build_proximity_graph",
-    "sweep_crowds_frontier",
     "dbscan_numpy",
     "build_cluster_database_parallel",
 ]
@@ -29,8 +27,6 @@ __all__ = [
 _LAZY = {
     "SnapshotFrame": ("repro.engine.frame", "SnapshotFrame"),
     "MembershipMatrix": ("repro.engine.bitmatrix", "MembershipMatrix"),
-    "build_proximity_graph": ("repro.engine.proximity", "build_proximity_graph"),
-    "sweep_crowds_frontier": ("repro.engine.sweep", "sweep_crowds_frontier"),
     "dbscan_numpy": ("repro.engine.dbscan", "dbscan_numpy"),
     "build_cluster_database_parallel": ("repro.engine.parallel", "build_cluster_database_parallel"),
 }

@@ -157,7 +157,9 @@ class StreamingGatheringService:
         Snapshots per window — how many grid timestamps are clustered and
         folded into the incremental miners at a time.
     range_search:
-        Range-search scheme name for crowd discovery (Algorithm 1).
+        Range-search scheme name for crowd discovery (Algorithm 1); the
+        numpy backend accepts only ``"GRID"`` (see
+        :func:`~repro.core.range_search.runs_proximity_graph`).
     config:
         Engine backend / chunk size / worker knobs; defaults to the scalar
         reference backend like the one-shot miners.
