@@ -7,11 +7,14 @@ strategy query.  Gap-filled scenarios (sensor outages, empty night windows)
 previously still issued one range search per live candidate there.
 """
 
+import pytest
+
 from repro.clustering.snapshot import ClusterDatabase
 from repro.core.config import GatheringParameters
 from repro.core.crowd_discovery import discover_closed_crowds
 from repro.core.range_search import RangeSearchStrategy
 from repro.datagen.synthetic import random_snapshot_cluster
+from repro.engine import proximity
 from repro.engine.registry import ExecutionConfig
 
 import numpy as np
@@ -31,6 +34,39 @@ class SpyScalarSearch(RangeSearchStrategy):
     def search(self, query, timestamp, clusters):
         self.queried_timestamps.append(timestamp)
         return [c for c in clusters if query.within_hausdorff(c, self.delta)]
+
+    def discover(self, cdb, monkeypatch):
+        return discover_closed_crowds(cdb, PARAMS, strategy=self)
+
+
+class SpyVectorSearch:
+    """Numpy proximity-graph sweep that records where the graph does work.
+
+    The graph build is the numpy path's whole range search: every node is a
+    cluster a candidate may be extended from or into.  The spy records the
+    timestamp of each node, so a gap timestamp showing up means the build
+    considered a cluster there.
+    """
+
+    def __init__(self, delta):
+        self.delta = delta
+        self.queried_timestamps = []
+
+    def discover(self, cdb, monkeypatch):
+        build = proximity.build_proximity_graph
+
+        def spy_build(*args, **kwargs):
+            graph = build(*args, **kwargs)
+            assert graph.delta == self.delta
+            for position, t in enumerate(graph.timestamps):
+                nodes = graph.node_bounds[position + 1] - graph.node_bounds[position]
+                self.queried_timestamps.extend([t] * int(nodes))
+            return graph
+
+        monkeypatch.setattr(proximity, "build_proximity_graph", spy_build)
+        result = discover_closed_crowds(cdb, PARAMS, config=ExecutionConfig())
+        assert self.queried_timestamps, "the numpy sweep did not build the graph"
+        return result
 
 
 def gap_filled_database():
@@ -68,10 +104,11 @@ def gap_filled_database():
     return cdb
 
 
-def test_no_query_is_issued_at_gap_timestamps():
+@pytest.mark.parametrize("spy_class", (SpyScalarSearch, SpyVectorSearch))
+def test_no_query_is_issued_at_gap_timestamps(spy_class, monkeypatch):
     cdb = gap_filled_database()
-    spy = SpyScalarSearch(PARAMS.delta)
-    result = discover_closed_crowds(cdb, PARAMS, strategy=spy)
+    spy = spy_class(PARAMS.delta)
+    result = spy.discover(cdb, monkeypatch)
 
     # Timestamp 4 has no clusters and timestamp 5 none above mc: neither may
     # reach the strategy.  (Timestamp 6 issues no queries either — the gap
@@ -83,10 +120,11 @@ def test_no_query_is_issued_at_gap_timestamps():
     spans = sorted((c.start_time, c.end_time) for c in result.closed_crowds)
     assert spans == [(0.0, 3.0), (6.0, 9.0)]
 
-    # The numpy sweep skips the gap in its graph build and agrees exactly.
+    # Numpy and the scalar reference agree exactly on the same database.
+    reference = discover_closed_crowds(cdb, PARAMS, strategy=SpyScalarSearch(PARAMS.delta))
     vectorized = discover_closed_crowds(cdb, PARAMS, config=ExecutionConfig())
     assert [c.keys() for c in vectorized.closed_crowds] == [
-        c.keys() for c in result.closed_crowds
+        c.keys() for c in reference.closed_crowds
     ]
 
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.core.config import GatheringParameters
+from repro.core.crowd_discovery import discover_closed_crowds
 from repro.core.gathering import (
     DETECTORS,
     detect_gatherings_tad_star_packed,
@@ -16,7 +18,8 @@ from repro.core.range_search import (
     make_range_search,
     runs_proximity_graph,
 )
-from repro.engine.registry import ExecutionConfig
+from repro.datagen.synthetic import synthetic_cluster_database
+from repro.engine.registry import BACKENDS, ExecutionConfig
 
 
 class TestExecutionConfig:
@@ -40,6 +43,23 @@ class TestBuiltinRegistrations:
     def test_range_search_names(self):
         assert list(RANGE_SEARCHES) == ["BRUTE", "SR", "IR", "GRID"]
         assert list(NUMPY_SCHEMES) == ["GRID"]
+
+    def test_every_range_search_has_both_backends(self):
+        # Every scheme mines under either backend: picked by name on the
+        # scalar reference, or handed over as an instance (the scalar loop,
+        # as ablations do) under numpy.  Both agree with the numpy default.
+        params = GatheringParameters(mc=3, delta=300.0, kc=3, kp=2, mp=1)
+        cdb = synthetic_cluster_database(12, 6, 8, area=3000.0, seed=3)
+        default = discover_closed_crowds(cdb, params, config=ExecutionConfig())
+        expected = [c.keys() for c in default.closed_crowds]
+        assert expected
+        for name in RANGE_SEARCHES:
+            for backend in BACKENDS:
+                strategy = name if backend == "python" else make_range_search(name, params.delta)
+                result = discover_closed_crowds(
+                    cdb, params, strategy=strategy, config=ExecutionConfig(backend=backend)
+                )
+                assert [c.keys() for c in result.closed_crowds] == expected, (name, backend)
 
     def test_detection_backends(self):
         # TAD* has a packed-matrix numpy variant; the others run the same
