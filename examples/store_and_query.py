@@ -1,17 +1,17 @@
-"""Sharded mining into a persistent store, then querying it back.
+"""Pooled mining into a persistent store, then querying it back.
 
 The full durable workflow in one script:
 
 1. simulate the multi-district city workload;
-2. mine it with the sharded batch driver (stitched across boundaries),
-   persisting crowds and gatherings into a SQLite pattern store;
+2. mine it with phase 1 on a pool of 4 worker processes, persisting
+   crowds and gatherings into a SQLite pattern store;
 3. answer region / time-window / object queries through the cached
    serving core, :class:`~repro.serve.PatternApp` — the same code path
    ``repro query`` and the HTTP endpoint answer through.
 
 Equivalent CLI::
 
-    repro mine --input city.csv --shards 4 --store patterns.db ...
+    repro mine --input city.csv --workers 4 --store patterns.db ...
     repro query --store patterns.db --bbox 0,0,6000,6000 --from 10 --to 40
 """
 
@@ -20,8 +20,9 @@ from __future__ import annotations
 import json
 
 from repro.core.config import GatheringParameters
-from repro.core.sharding import ShardedMiningDriver
+from repro.core.pipeline import GatheringMiner
 from repro.datagen.scenarios import city_scenario
+from repro.engine.registry import ExecutionConfig
 from repro.serve import PatternApp, SingleStorePool
 from repro.store import PatternStore
 
@@ -33,17 +34,15 @@ print("simulating the city workload ...")
 database = city_scenario(fleet_size=320, duration=48, districts=4, seed=97).database
 print(f"  {len(database)} objects, {database.total_samples()} samples")
 
-print("mining as 4 stitched shards into patterns.db ...")
-driver = ShardedMiningDriver(params, shards=4)
+print("mining on 4 workers into patterns.db ...")
+miner = GatheringMiner(params, config=ExecutionConfig(workers=4))
+result = miner.mine(database)
 with PatternStore("patterns.db") as store:
-    result = driver.mine(database, store=store)
-    report = driver.last_report
+    written = result.write_to(store)
     print(
         f"  {result.crowd_count()} crowds, {result.gathering_count()} gatherings "
-        f"(cluster {report.cluster_seconds:.2f}s, stitch {report.stitch_seconds:.2f}s; "
-        f"carried across boundaries: {report.carried_candidates[:-1]})"
+        f"({written['crowds']} crowds, {written['gatherings']} gatherings new to the store)"
     )
-
 
 
 def query(app, target):

@@ -9,7 +9,7 @@ Ten subcommands cover the everyday workflows of the library::
     python -m repro ingest --input dirty.csv --quality repair --max-speed 40 \
         --quarantine dead.jsonl --ingest-report report.json
     python -m repro mine --input fleet.csv --backend python --range-search SR
-    python -m repro mine --input city.csv --shards 4 --store patterns.db
+    python -m repro mine --input city.csv --workers 4 --store patterns.db
     python -m repro stream --input fleet.csv --window 10 --checkpoint-every 5 \
         --checkpoint state.json
     python -m repro stream --demo --jitter 1.5 --late-fraction 0.01 --slack 2
@@ -27,8 +27,8 @@ Ten subcommands cover the everyday workflows of the library::
 
 ``simulate`` writes a synthetic fleet (CSV, one ``object_id,t,x,y`` row per
 fix), ``mine`` runs the full gathering-mining pipeline on a CSV / JSONL /
-T-Drive / GeoLife input (optionally sharded over the snapshot range and
-persisted to a pattern store), ``ingest`` runs an input through the
+T-Drive / GeoLife input (optionally on a worker pool and persisted to a
+pattern store), ``ingest`` runs an input through the
 data-quality firewall *without* mining — validate, repair or quarantine a
 file and emit the fully-accounted ingest report (with ``--replay`` it
 re-validates a quarantine dead-letter file after hand fixes), ``stream``
@@ -128,7 +128,7 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         "--spill-dir",
         default=None,
         help=(
-            "run phase 1 out-of-core: spool the position arena under this "
+            "run phase 1 out-of-core: spool the clustered rows under this "
             "directory and memory-map the frames (numpy backend only)"
         ),
     )
@@ -314,20 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="TAD*",
         help="gathering-detection strategy",
     )
-    group = mine.add_argument_group("sharding and persistence")
-    group.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="mine the snapshot range as N parallel shards with exact stitching",
-    )
-    group.add_argument(
-        "--shard-overlap",
-        type=int,
-        default=1,
-        help="trajectory-slice padding per shard boundary, in grid steps",
-    )
-    group.add_argument(
+    mine.add_argument(
         "--store",
         help="persist mined crowds/gatherings into this pattern-store database",
     )
@@ -748,35 +735,15 @@ def _command_mine(args: argparse.Namespace) -> int:
         if reaped:
             print(f"reaped {len(reaped)} orphaned spill dir(s) under {args.spill_dir}")
     store = _open_store(args.store) if args.store else None
-    if args.shards > 1:
-        from .core.sharding import ShardedMiningDriver
-
-        driver = ShardedMiningDriver(
-            params,
-            shards=args.shards,
-            overlap=args.shard_overlap,
-            range_search=args.range_search,
-            detection_method=args.detection,
-            config=_execution_config_from_args(args),
-        )
-        result = driver.mine(database, store=store)
-        report = driver.last_report
-        print(
-            f"shards            : {report.shards} "
-            f"(cluster {report.cluster_seconds:.2f}s, stitch {report.stitch_seconds:.2f}s, "
-            f"detect {report.detect_seconds:.2f}s; "
-            f"carried across boundaries: {report.carried_candidates[:-1]})"
-        )
-    else:
-        miner = GatheringMiner(
-            params,
-            range_search=args.range_search,
-            detection_method=args.detection,
-            config=_execution_config_from_args(args),
-        )
-        result = miner.mine(database)
-        if store is not None:
-            result.write_to(store)
+    miner = GatheringMiner(
+        params,
+        range_search=args.range_search,
+        detection_method=args.detection,
+        config=_execution_config_from_args(args),
+    )
+    result = miner.mine(database)
+    if store is not None:
+        result.write_to(store)
 
     print(f"objects           : {len(database)}")
     print(f"snapshot clusters : {len(result.cluster_db)}")

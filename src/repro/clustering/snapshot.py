@@ -217,6 +217,7 @@ def build_cluster_database(
     method: str = "grid",
     object_shards: int = 1,
     spill_dir: Optional[str] = None,
+    workers: int = 1,
 ) -> ClusterDatabase:
     """Snapshot-cluster a whole trajectory database.
 
@@ -235,7 +236,7 @@ def build_cluster_database(
         Neighbour-search backend passed to :func:`repro.clustering.dbscan`.
         ``"numpy"`` dispatches to the batched whole-database path
         (:func:`repro.engine.phase1.build_cluster_database_batched`): one
-        columnar sweep over every snapshot at once, label-identical to the
+        columnar sweep per block of snapshots, label-identical to the
         per-snapshot loop.
     object_shards:
         Object-axis interpolation groups for the batched path (results
@@ -247,6 +248,11 @@ def build_cluster_database(
         Out-of-core spill directory for the batched path; requires
         ``method="numpy"`` (the scalar per-snapshot loop has no arena to
         spill, so a spill request on it is a configuration error).
+    workers:
+        Worker processes (``1`` keeps everything in-process).  The batched
+        path clusters one block of snapshots per job; the scalar methods
+        one snapshot per job (:mod:`repro.engine.parallel`).  Results are
+        identical either way.
     """
     if method == "numpy":
         from ..engine.phase1 import build_cluster_database_batched
@@ -260,6 +266,7 @@ def build_cluster_database(
             max_gap=max_gap,
             object_shards=object_shards,
             spill_dir=spill_dir,
+            workers=workers,
         )
     if spill_dir is not None:
         raise ValueError(
@@ -268,7 +275,16 @@ def build_cluster_database(
         )
     if timestamps is None:
         timestamps = database.timestamps(step=time_step)
+    timestamps = list(timestamps)
     cdb = ClusterDatabase()
+    if workers > 1 and len(timestamps) > 1:
+        from ..engine.parallel import cluster_snapshots_pooled
+
+        for t, clusters in cluster_snapshots_pooled(
+            database, timestamps, eps, min_points, max_gap, method, workers
+        ):
+            cdb.add_snapshot(t, clusters)
+        return cdb
     runner = DBSCANRunner(eps=eps, min_points=min_points, method=method)
     for t in timestamps:
         positions = database.snapshot(t, max_gap=max_gap)

@@ -114,8 +114,8 @@ def crowd_fingerprint(crowd: Crowd) -> str:
     """Content fingerprint of a crowd (its value-complete cluster sequence).
 
     Two crowds over the same cluster content hash identically regardless of
-    which shard or stream window produced them — this is what lets
-    :class:`~repro.store.PatternStore` deduplicate shard outputs and
+    which run or stream window produced them — this is what lets
+    :class:`~repro.store.PatternStore` deduplicate repeated runs and
     streaming evictions landing in one database — while crowds from
     different inputs never collide.
     """

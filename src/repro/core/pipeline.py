@@ -103,20 +103,6 @@ class GatheringMiner:
         streaming service clusters one window of the global time grid at a
         time); ``None`` covers the database's whole discretised time domain.
         """
-        if self.config.workers > 1:
-            from ..engine.parallel import build_cluster_database_parallel
-
-            return build_cluster_database_parallel(
-                database,
-                timestamps=timestamps,
-                eps=self.params.eps,
-                min_points=self.params.min_points,
-                time_step=self.params.time_step,
-                method=self._dbscan_method(),
-                workers=self.config.workers,
-                object_shards=self.config.object_shards,
-                spill_dir=self.config.spill_dir,
-            )
         return build_cluster_database(
             database,
             timestamps=timestamps,
@@ -126,6 +112,7 @@ class GatheringMiner:
             method=self._dbscan_method(),
             object_shards=self.config.object_shards,
             spill_dir=self.config.spill_dir,
+            workers=self.config.workers,
         )
 
     # -- phase 2 -------------------------------------------------------------

@@ -254,14 +254,14 @@ def city_scenario(
     * two *staggered* gathering events — one in the first half of the day,
       one in the second — so crowds begin and end at different times and
       several of them span any contiguous partition of the snapshot range
-      (the cross-boundary crowds shard stitching exists for);
+      (so they cross phase-1 block boundaries);
     * one transient drop-off crowd;
     * a travelling platoon headed to the next district over, putting
       inter-region traffic on the roads between events.
 
     With the default sizes the scenario spans ~120 snapshots over hundreds
-    of objects — long enough that ``repro mine --shards N`` has real
-    per-shard work — while every district keeps mining activity spatially
+    of objects — long enough that ``repro mine --workers N`` has real
+    per-worker work — while every district keeps mining activity spatially
     separable for region queries against the pattern store.
     """
     if districts < 1:

@@ -21,14 +21,12 @@ __all__ = [
     "SnapshotFrame",
     "MembershipMatrix",
     "dbscan_numpy",
-    "build_cluster_database_parallel",
 ]
 
 _LAZY = {
     "SnapshotFrame": ("repro.engine.frame", "SnapshotFrame"),
     "MembershipMatrix": ("repro.engine.bitmatrix", "MembershipMatrix"),
     "dbscan_numpy": ("repro.engine.dbscan", "dbscan_numpy"),
-    "build_cluster_database_parallel": ("repro.engine.parallel", "build_cluster_database_parallel"),
 }
 
 

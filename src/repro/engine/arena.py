@@ -9,12 +9,12 @@ This module supplies the two scale axes:
 * **Spilling** — :class:`ArenaSpool` accumulates arena rows on disk one
   snapshot block at a time (plain append-only binary columns, no full
   array ever materialised) and finalises them as read-only ``np.memmap``
-  columns.  ``np.memmap`` is an ``ndarray`` subclass, so a memmap-backed
-  arena flows through the DBSCAN kernels, ``frames_from_arena`` slicing
-  and the proximity-graph build unchanged: contiguous slices stay
-  zero-copy views of the file and the OS pages them in and out on
-  demand.  :func:`spill_positions_matrix` is the builder behind
-  ``TrajectoryDatabase.positions_matrix(spill_dir=...)``.
+  columns.  ``np.memmap`` is an ``ndarray`` subclass, so memmap-backed
+  columns flow through frame slicing and the proximity-graph build
+  unchanged: contiguous slices stay zero-copy views of the file and the
+  OS pages them in and out on demand.  The batched phase-1 executor
+  (:func:`repro.engine.phase1.build_cluster_database_batched`) spools its
+  clustered rows here when given a ``spill_dir``.
 * **Object-space sharding** — :func:`partition_object_ids` splits the
   object-id axis into contiguous groups and :func:`build_arena_block`
   interpolates each group's sub-database separately, merging the partial
@@ -66,7 +66,6 @@ __all__ = [
     "build_arena_block",
     "effective_snapshot_block",
     "reap_orphaned_spills",
-    "spill_positions_matrix",
     "verify_arena_dir",
 ]
 
@@ -368,8 +367,7 @@ def reap_orphaned_spills(
 def partition_object_ids(object_ids: Sequence[int], shards: int) -> List[List[int]]:
     """Split object ids into ``shards`` contiguous near-equal groups.
 
-    Mirrors :func:`repro.core.sharding.partition_timestamps` on the object
-    axis: the first ``len(object_ids) % shards`` groups get one extra id and
+    The first ``len(object_ids) % shards`` groups get one extra id and
     empty groups (more shards than objects) are dropped.
     """
     if shards < 1:
@@ -477,83 +475,3 @@ def effective_snapshot_block(
     if snapshot_block is None:
         return budgeted
     return min(snapshot_block, budgeted)
-
-
-def spill_positions_matrix(
-    database: TrajectoryDatabase,
-    timestamps: Optional[Sequence[float]] = None,
-    spill_dir: str = ".",
-    max_gap: Optional[float] = None,
-    time_step: float = 1.0,
-    snapshot_block: Optional[int] = None,
-    object_shards: int = 1,
-) -> PositionArena:
-    """Build a whole-database position arena with memmap-backed columns.
-
-    Disk-backed equivalent of
-    :meth:`~repro.trajectory.trajectory.TrajectoryDatabase.positions_matrix`:
-    the timestamps are interpolated one snapshot block at a time (block
-    length sized by :func:`effective_snapshot_block`), each block's rows
-    are appended to an :class:`ArenaSpool`, and the finalised columns come
-    back as read-only ``np.memmap`` arrays whose values are bit-identical
-    to the in-RAM extraction.  Only the CSR ``offsets`` (one int64 per
-    timestamp) and the current block live in RAM.
-
-    Parameters
-    ----------
-    database, timestamps, max_gap, time_step:
-        As in ``positions_matrix``.
-    spill_dir:
-        Parent directory for this arena's spill files (a unique ``arena-*``
-        subdirectory is created inside it; its path is recorded on the
-        returned arena's ``spill_dir`` attribute).
-    snapshot_block:
-        Optional cap on snapshots interpolated per block.
-    object_shards:
-        Interpolate each block in this many object-axis groups (see
-        :func:`build_arena_block`), bounding extraction memory further.
-    """
-    if timestamps is None:
-        timestamps = database.timestamps(step=time_step)
-    ts_list = [float(t) for t in timestamps]
-    m = len(ts_list)
-    block = effective_snapshot_block(database, snapshot_block)
-    last_error: Optional[SpillCorruptionError] = None
-    for _attempt in range(2):
-        offsets = np.zeros(m + 1, dtype=np.int64)
-        written = 0
-        with ArenaSpool(spill_dir) as spool:
-            for block_start in range(0, m, block):
-                chunk = ts_list[block_start : block_start + block]
-                arena = build_arena_block(
-                    database, chunk, max_gap=max_gap, object_shards=object_shards
-                )
-                spool.append(
-                    arena.ts_index + block_start, arena.object_ids, arena.coords
-                )
-                offsets[block_start + 1 : block_start + len(chunk) + 1] = (
-                    written + arena.offsets[1:]
-                )
-                written += arena.point_count
-            ts_index, object_ids, coords = spool.finalize()
-        try:
-            verify_arena_dir(spool.directory)
-        except SpillCorruptionError as error:
-            # Interpolation is deterministic, so a failed checksum means the
-            # bytes were damaged on the way to disk — drop the spill and
-            # rebuild it once rather than mining garbage.
-            last_error = error
-            del ts_index, object_ids, coords
-            shutil.rmtree(spool.directory, ignore_errors=True)
-            continue
-        return PositionArena(
-            timestamps=tuple(ts_list),
-            ts_index=ts_index,
-            object_ids=object_ids,
-            coords=coords,
-            offsets=offsets,
-            spill_dir=spool.directory,
-        )
-    raise SpillCorruptionError(
-        f"spill rebuild failed verification twice in {spill_dir!r}: {last_error}"
-    )

@@ -37,8 +37,10 @@ class ExecutionConfig:
         kernels; bounds peak memory.
     workers:
         Worker processes for phase-1 snapshot clustering.  Snapshots are
-        independent, so ``workers > 1`` clusters them in parallel; ``1``
-        keeps everything in-process.
+        independent, so ``workers > 1`` clusters them in parallel (blocks
+        of snapshots on the numpy backend, single snapshots on the python
+        one); ``1`` keeps everything in-process.  Composes with
+        ``object_shards`` and ``spill_dir``; answers are unchanged.
     object_shards:
         Contiguous object-id groups per phase-1 interpolation block
         (numpy backend).  Bounds the per-block extraction working set;
@@ -48,7 +50,9 @@ class ExecutionConfig:
         When set (numpy backend), phase 1 runs out-of-core: the clustered
         position arena is spooled under this directory and frames become
         read-only ``np.memmap`` slices, bounding peak RAM regardless of
-        database size.  ``None`` keeps everything in RAM.
+        database size (with ``workers > 1`` the parent still owns the one
+        spool; workers only label blocks).  ``None`` keeps everything in
+        RAM.
     """
 
     backend: str = "numpy"

@@ -33,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .faults import maybe_fault
 
@@ -123,15 +123,18 @@ def run_supervised(
     max_restarts: int = DEFAULT_MAX_RESTARTS,
     mp_context: Optional[multiprocessing.context.BaseContext] = None,
     report: Optional[SupervisorReport] = None,
-) -> List[Any]:
+) -> Iterator[Any]:
     """Run ``fn`` over ``payloads`` in a supervised process pool.
 
-    Results come back as a list in payload order, exactly as
-    ``pool.map(fn, payloads)`` would produce — but worker death and per-job
+    Yields the results in payload order, exactly as
+    ``pool.imap(fn, payloads)`` would — but worker death and per-job
     timeouts are survived by restarting the pool and resubmitting the
     outstanding jobs (each payload runs to completion exactly once in the
-    returned result).  ``payloads`` may be a lazy iterable; at most
-    ``2 * workers`` jobs are in flight at a time.
+    yielded sequence).  Each result is handed back as soon as it and every
+    earlier one are done, and ``payloads`` (which may be lazy) is never
+    pulled more than ``2 * workers`` ahead of the results the caller has
+    consumed, so a streaming consumer holds at most that window of jobs.
+    Closing the generator early tears the pool down.
 
     Parameters
     ----------
@@ -156,17 +159,19 @@ def run_supervised(
     """
     rep = report if report is not None else SupervisorReport()
     workers = max(1, int(workers))
+    window = workers * 2
     timeout = _resolve_timeout(job_timeout)
     iterator = iter(payloads)
     pending_entries: Deque[Tuple[int, Any, Tuple[Tuple[Any, ...], ...]]] = deque()
     exhausted = False
     next_index = 0
+    yielded = 0
     results: Dict[int, Any] = {}
 
     def _pull() -> bool:
         """Move one payload from the iterator into the submission queue."""
         nonlocal exhausted, next_index
-        if exhausted:
+        if exhausted or next_index - yielded >= window:
             return False
         try:
             payload = next(iterator)
@@ -177,13 +182,16 @@ def run_supervised(
         next_index += 1
         return True
 
-    while pending_entries or not exhausted:
+    while pending_entries or not exhausted or yielded < next_index:
         if rep.restarts > max_restarts:
             rep.serial_fallback = True
-            while pending_entries or _pull():
+            while pending_entries or _pull() or yielded < next_index:
                 if pending_entries:
                     index, payload, _ = pending_entries.popleft()
                     results[index] = fn(payload)
+                while yielded in results:
+                    yielded += 1
+                    yield results.pop(yielded - 1)
             break
 
         context = mp_context if mp_context is not None else _default_context()
@@ -206,15 +214,19 @@ def run_supervised(
                         pass
                 requeue.append((stale_index, stale_payload, ()))
             order.clear()
+            # Earliest first, so the next in-order result is resubmitted first.
+            requeue.sort(key=lambda entry: entry[0])
             pending_entries.extendleft(reversed(requeue))
             rep.restarts += 1
             rep.retried += len(requeue)
             _kill_pool(executor)
 
         try:
-            window = workers * 2
             broken = False
             while not broken:
+                while yielded in results:
+                    yielded += 1
+                    yield results.pop(yielded - 1)
                 while len(in_flight) < window and (pending_entries or _pull()):
                     index, payload, injections = pending_entries.popleft()
                     try:
@@ -240,5 +252,3 @@ def run_supervised(
         except BaseException:
             _kill_pool(executor)
             raise
-
-    return [results[index] for index in range(next_index)]

@@ -47,10 +47,6 @@ class PositionArena:
     offsets:
         ``(len(timestamps) + 1,)`` int64 CSR boundaries: timestamp ``i``
         owns rows ``offsets[i]:offsets[i + 1]``.
-    spill_dir:
-        When the row columns are ``np.memmap`` views of spilled files
-        (see :func:`repro.engine.arena.spill_positions_matrix`), the
-        directory holding them; ``None`` for an in-RAM arena.
     """
 
     timestamps: Tuple[float, ...]
@@ -58,7 +54,6 @@ class PositionArena:
     object_ids: np.ndarray
     coords: np.ndarray
     offsets: np.ndarray
-    spill_dir: Optional[str] = None
 
     @property
     def point_count(self) -> int:
@@ -380,8 +375,6 @@ class TrajectoryDatabase:
         timestamps: Optional[Sequence[float]] = None,
         max_gap: Optional[float] = None,
         time_step: float = 1.0,
-        spill_dir: Optional[str] = None,
-        snapshot_block: Optional[int] = None,
     ) -> PositionArena:
         """Every object's position at every timestamp, as one columnar arena.
 
@@ -400,29 +393,7 @@ class TrajectoryDatabase:
             with granularity ``time_step``.
         max_gap:
             Maximum sampling gap to interpolate across (``None`` = no limit).
-        spill_dir:
-            When given, the arena is built one snapshot block at a time and
-            its row columns land in memory-mapped files under this
-            directory (:func:`repro.engine.arena.spill_positions_matrix`)
-            instead of RAM — same values bit-for-bit, bounded peak memory.
-        snapshot_block:
-            Optional cap on snapshots interpolated per spill block (only
-            meaningful with ``spill_dir``; the default sizes blocks from a
-            row budget).
         """
-        if spill_dir is not None:
-            # Imported lazily: the engine layer depends on this module, and
-            # the spilled builder is only needed on the out-of-core path.
-            from ..engine.arena import spill_positions_matrix
-
-            return spill_positions_matrix(
-                self,
-                timestamps=timestamps,
-                spill_dir=spill_dir,
-                max_gap=max_gap,
-                time_step=time_step,
-                snapshot_block=snapshot_block,
-            )
         if timestamps is None:
             timestamps = self.timestamps(step=time_step)
         t_arr = np.asarray(list(timestamps), dtype=float)

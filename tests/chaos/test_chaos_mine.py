@@ -6,7 +6,6 @@ import os
 
 from repro.core.config import GatheringParameters
 from repro.core.pipeline import GatheringMiner
-from repro.core.sharding import ShardedMiningDriver
 from repro.datagen.simulator import SimulationConfig, TaxiFleetSimulator
 from repro.engine.arena import SPILL_MANIFEST
 from repro.engine.registry import ExecutionConfig
@@ -36,32 +35,30 @@ def _assert_no_orphans(spill_dir):
         assert os.path.exists(manifest), f"orphaned partial spill {entry}"
 
 
-def _sharded_mine(database, spill_dir):
-    driver = ShardedMiningDriver(
-        PARAMS,
-        shards=4,
-        config=ExecutionConfig(
-            backend="numpy", workers=4, object_shards=2, spill_dir=spill_dir
-        ),
+def _pooled_spilled_mine(database, spill_dir):
+    config = ExecutionConfig(
+        backend="numpy", workers=4, object_shards=2, spill_dir=spill_dir
     )
-    return driver.mine(database)
+    return GatheringMiner(PARAMS, config=config).mine(database)
 
 
 class TestChaosMine:
     def test_worker_crashes_and_spill_corruption_keep_parity(self, arm, tmp_path):
-        # The acceptance scenario: mine --shards 4 --object-shards 2
-        # --spill-dir under worker crashes plus a corrupted spill column.
+        # The acceptance scenario: mine --workers 4 --object-shards 2
+        # --spill-dir under worker crashes plus a corrupted spill column:
+        # the pool and the parent's spool recover together.
         database = _database()
-        reference = _sharded_mine(database, str(tmp_path / "clean"))
+        reference = _pooled_spilled_mine(database, str(tmp_path / "clean"))
 
         plan = arm("worker.crash:2,spill.corrupt:1,seed:7")
-        chaotic = _sharded_mine(database, str(tmp_path / "chaos"))
+        chaotic = _pooled_spilled_mine(database, str(tmp_path / "chaos"))
 
         assert _signature(chaotic) == _signature(reference)
         assert chaotic.closed_crowds == reference.closed_crowds
         assert chaotic.gatherings == reference.gatherings
         fired = plan.fired_counts()
         assert fired.get("worker.crash", 0) >= 1
+        assert fired.get("spill.corrupt", 0) == 1
         _assert_no_orphans(str(tmp_path / "chaos"))
 
     def test_chaotic_parallel_run_matches_unsharded_serial_run(self, arm, tmp_path):

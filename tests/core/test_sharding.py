@@ -1,4 +1,11 @@
-"""ShardedMiningDriver: planning, exact stitching, store sink."""
+"""Phase-1 parallelism over the time axis: block plan, pooled parity, store sink.
+
+Phase 1 clusters every snapshot independently, so a contiguous block of
+timestamps is its one unit of parallelism.  These tests pin the block plan
+of the numpy executor (two blocks per worker, each snapshot exactly once,
+in time order) and check that a pooled ``GatheringMiner`` mines exactly
+what a single-process run mines, on both backends and through the store.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +13,13 @@ import pytest
 
 from repro.core.config import GatheringParameters
 from repro.core.pipeline import GatheringMiner
-from repro.core.sharding import ShardedMiningDriver, partition_timestamps
 from repro.datagen.scenarios import city_scenario
+from repro.engine import phase1
+from repro.engine.phase1 import build_cluster_database_batched
+from repro.engine.registry import ExecutionConfig
+from repro.geometry.point import Point
 from repro.store import PatternStore
+from repro.trajectory.trajectory import Trajectory, TrajectoryDatabase
 
 PARAMS = GatheringParameters(
     eps=200.0, min_points=4, mc=5, delta=300.0, kc=10, kp=6, mp=3, time_step=1.0
@@ -23,6 +34,12 @@ def gathering_keys(result):
     return {(g.keys(), g.participator_ids) for g in result.gatherings}
 
 
+def pooled(workers, backend="python", **overrides):
+    return GatheringMiner(
+        PARAMS, config=ExecutionConfig(backend=backend, workers=workers, **overrides)
+    )
+
+
 @pytest.fixture(scope="module")
 def city():
     return city_scenario(fleet_size=320, duration=48, districts=4, seed=97).database
@@ -33,73 +50,85 @@ def reference(city):
     return GatheringMiner(PARAMS).mine(city)
 
 
+def block_plan(monkeypatch, database, workers, timestamps=None):
+    """The timestamp blocks the numpy executor interpolates, in order."""
+    seen = []
+    real = phase1.build_arena_block
+
+    def spy(db, block, **kwargs):
+        seen.append(tuple(block))
+        return real(db, block, **kwargs)
+
+    monkeypatch.setattr(phase1, "build_arena_block", spy)
+    build_cluster_database_batched(
+        database, timestamps=timestamps, eps=50.0, min_points=2, workers=workers
+    )
+    return seen
+
+
+def tiny_database():
+    database = TrajectoryDatabase()
+    for object_id in range(3):
+        database.add(
+            Trajectory(object_id, [(0.0, Point(0.0, 0.0)), (9.0, Point(9.0, 0.0))])
+        )
+    return database
+
+
 class TestPartition:
-    def test_near_equal_contiguous_chunks(self):
-        chunks = partition_timestamps([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3)
-        assert chunks == [(0.0, 1.0, 2.0), (3.0, 4.0), (5.0, 6.0)]
+    def test_near_equal_contiguous_chunks(self, monkeypatch):
+        # 7 snapshots over 3 workers: ceil(7 / 6) = 2 snapshots per block.
+        timestamps = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        plan = block_plan(monkeypatch, tiny_database(), 3, timestamps)
+        assert plan == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0), (6.0,)]
 
-    def test_more_shards_than_timestamps_drops_empties(self):
-        assert partition_timestamps([0.0, 1.0], 5) == [(0.0,), (1.0,)]
+    def test_more_shards_than_timestamps_drops_empties(self, monkeypatch):
+        assert block_plan(monkeypatch, tiny_database(), 5, [0.0, 1.0]) == [
+            (0.0,),
+            (1.0,),
+        ]
 
-    def test_single_shard_is_identity(self):
-        assert partition_timestamps([0.0, 1.0, 2.0], 1) == [(0.0, 1.0, 2.0)]
+    def test_single_shard_is_identity(self, monkeypatch):
+        assert block_plan(monkeypatch, tiny_database(), 1, [0.0, 1.0, 2.0]) == [
+            (0.0, 1.0, 2.0)
+        ]
 
     def test_invalid_shard_count(self):
-        with pytest.raises(ValueError):
-            partition_timestamps([0.0], 0)
+        with pytest.raises(ValueError, match="snapshot_block"):
+            build_cluster_database_batched(tiny_database(), snapshot_block=0)
 
 
 class TestPlanning:
-    def test_plan_covers_every_snapshot_once(self, city):
-        driver = ShardedMiningDriver(PARAMS, shards=4)
-        specs = driver.plan(city)
-        assert len(specs) == 4
-        planned = [t for spec in specs for t in spec.timestamps]
-        assert planned == city.timestamps(step=PARAMS.time_step)
-
-    def test_slices_are_overlap_padded(self, city):
-        driver = ShardedMiningDriver(PARAMS, shards=3, overlap=2)
-        first, second, _ = driver.plan(city)
-        assert first.slice_end == first.end_time + 2 * PARAMS.time_step
-        assert second.slice_start == second.start_time - 2 * PARAMS.time_step
+    def test_plan_covers_every_snapshot_once(self, city, monkeypatch):
+        timestamps = city.timestamps(step=PARAMS.time_step)
+        plan = block_plan(monkeypatch, city, 4)
+        assert [t for block in plan for t in block] == timestamps
+        # Two blocks per worker, capped at the in-RAM block size.
+        assert max(len(block) for block in plan) == min(
+            -(-len(timestamps) // 8), phase1.DEFAULT_SNAPSHOT_BLOCK
+        )
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            ShardedMiningDriver(PARAMS, shards=0)
+            ExecutionConfig(workers=0)
         with pytest.raises(ValueError):
-            ShardedMiningDriver(PARAMS, overlap=-1)
+            ExecutionConfig(object_shards=0)
 
 
 class TestStitchedParity:
-    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
-    def test_sharded_equals_unsharded(self, city, reference, shards):
-        result = ShardedMiningDriver(PARAMS, shards=shards).mine(city)
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_sharded_equals_unsharded(self, city, reference, workers):
+        result = pooled(workers).mine(city)
         assert crowd_keys(result) == crowd_keys(reference)
         assert gathering_keys(result) == gathering_keys(reference)
 
     def test_merged_cluster_db_matches(self, city, reference):
-        result = ShardedMiningDriver(PARAMS, shards=4).mine(city)
+        result = pooled(4, backend="numpy").mine(city)
         assert result.cluster_db.timestamps() == reference.cluster_db.timestamps()
         assert len(result.cluster_db) == len(reference.cluster_db)
 
-    def test_report_records_cross_boundary_carries(self, city):
-        driver = ShardedMiningDriver(PARAMS, shards=4)
-        driver.mine(city)
-        report = driver.last_report
-        assert report.shards == 4
-        assert report.snapshots == len(city.timestamps(step=PARAMS.time_step))
-        assert len(report.carried_candidates) == 4
-        # The city scenario keeps crowds alive across boundaries: stitching
-        # must actually carry candidates, or the driver degenerated into
-        # independent (wrong) per-shard sweeps.
-        assert any(count > 0 for count in report.carried_candidates[:-1])
-
     def test_numpy_backend_parity(self, city, reference):
-        from repro.engine.registry import ExecutionConfig
-
-        result = ShardedMiningDriver(
-            PARAMS, shards=3, config=ExecutionConfig(backend="numpy")
-        ).mine(city)
+        result = pooled(3, backend="numpy").mine(city)
         assert crowd_keys(result) == crowd_keys(reference)
         assert gathering_keys(result) == gathering_keys(reference)
 
@@ -107,9 +136,8 @@ class TestStitchedParity:
 class TestStoreSink:
     def test_mine_writes_store(self, city, reference, tmp_path):
         store = PatternStore(tmp_path / "city.db")
-        driver = ShardedMiningDriver(PARAMS, shards=3)
-        result = driver.mine(city, store=store)
-        assert driver.last_report.store_written == {
+        result = pooled(3, backend="numpy").mine(city)
+        assert result.write_to(store) == {
             "crowds": len(result.closed_crowds),
             "gatherings": len(result.gatherings),
         }
@@ -118,9 +146,8 @@ class TestStoreSink:
 
     def test_reruns_append_idempotently(self, city, tmp_path):
         store = PatternStore(tmp_path / "city.db")
-        driver = ShardedMiningDriver(PARAMS, shards=2)
-        driver.mine(city, store=store)
+        miner = pooled(2, backend="numpy")
+        miner.mine(city).write_to(store)
         first = (store.crowd_count(), store.gathering_count())
-        driver.mine(city, store=store)
+        assert miner.mine(city).write_to(store) == {"crowds": 0, "gatherings": 0}
         assert (store.crowd_count(), store.gathering_count()) == first
-        assert driver.last_report.store_written == {"crowds": 0, "gatherings": 0}

@@ -2,9 +2,10 @@
 
 Covers the spool's append/finalize contract and its error paths, the
 object-id partitioner, the partial-arena merge, block sizing, and the
-``spill_positions_matrix`` builder's layout invariants (the property
-suite in ``tests/properties/test_property_outofcore.py`` covers the
-bit-parity claims on random databases).
+layout invariants of the clustered spill that the batched phase-1
+executor writes (the property suite in
+``tests/properties/test_property_outofcore.py`` covers the bit-parity
+claims on random databases).
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ import pytest
 
 from repro.engine.arena import (
     DEFAULT_SPILL_BLOCK_ROWS,
+    SPILL_MANIFEST,
     ArenaSpool,
     build_arena_block,
     effective_snapshot_block,
     merge_arenas,
     partition_object_ids,
-    spill_positions_matrix,
+    verify_arena_dir,
 )
+from repro.engine.phase1 import build_cluster_database_batched
 from repro.geometry.point import Point
 from repro.trajectory.trajectory import Trajectory, TrajectoryDatabase
 
@@ -180,43 +183,72 @@ class TestEffectiveSnapshotBlock:
         assert effective_snapshot_block(TrajectoryDatabase(), None, row_budget=10) == 10
 
 
-class TestSpillPositionsMatrix:
+def spilled(database, spill_dir, **kwargs):
+    return build_cluster_database_batched(
+        database, eps=150.0, min_points=2, spill_dir=str(spill_dir), **kwargs
+    )
+
+
+def frames_of(cluster_db):
+    return [
+        cluster_db.clusters_at(t)[0].segment()[0]
+        for t in cluster_db.timestamps()
+        if cluster_db.clusters_at(t)
+    ]
+
+
+def arena_dirs(spill_dir):
+    return sorted(
+        os.path.join(spill_dir, entry)
+        for entry in os.listdir(spill_dir)
+        if entry.startswith("arena-")
+    )
+
+
+class TestClusteredSpill:
     def test_spilled_arena_matches_in_ram_across_block_sizes(self, tmp_path):
         database = small_database()
-        reference = database.positions_matrix()
+        reference = build_cluster_database_batched(database, eps=150.0, min_points=2)
+        ram_frames = frames_of(reference)
+        assert ram_frames
         for block in (1, 3, 100):
-            spilled = spill_positions_matrix(
-                database, spill_dir=str(tmp_path), snapshot_block=block
-            )
-            assert spilled.spill_dir is not None
-            assert spilled.spill_dir.startswith(str(tmp_path))
-            assert spilled.timestamps == reference.timestamps
-            assert np.array_equal(spilled.ts_index, reference.ts_index)
-            assert np.array_equal(spilled.object_ids, reference.object_ids)
-            assert np.array_equal(spilled.coords, reference.coords)
-            assert np.array_equal(spilled.offsets, reference.offsets)
+            spill_dir = tmp_path / f"block-{block}"
+            frames = frames_of(spilled(database, spill_dir, snapshot_block=block))
+            # One finalised arena per run: the clustered columns plus labels,
+            # checksummed, with the clustered rows only (noise dropped).
+            (directory,) = arena_dirs(spill_dir)
+            manifest = verify_arena_dir(directory)
+            assert sorted(manifest["columns"]) == [
+                "coords",
+                "labels",
+                "object_ids",
+                "ts_index",
+            ]
+            assert manifest["rows"] == sum(len(f.object_ids) for f in ram_frames)
+            assert len(frames) == len(ram_frames)
+            for ram, disk in zip(ram_frames, frames):
+                assert disk.timestamp == ram.timestamp
+                assert np.array_equal(disk.coords, ram.coords)
+                assert np.array_equal(disk.object_ids, ram.object_ids)
+                assert np.array_equal(disk.offsets, ram.offsets)
+                assert np.array_equal(disk.cluster_ids, ram.cluster_ids)
 
     def test_snapshot_slices_are_zero_copy_file_views(self, tmp_path):
-        database = small_database()
-        spilled = spill_positions_matrix(
-            database, spill_dir=str(tmp_path), snapshot_block=2
-        )
-        assert isinstance(spilled.coords, np.memmap)
-        begin, end = int(spilled.offsets[3]), int(spilled.offsets[4])
-        window = spilled.coords[begin:end]
+        frames = frames_of(spilled(small_database(), tmp_path, snapshot_block=2))
+        window = frames[len(frames) // 2].coords
         # A contiguous slice of a memmap is itself a memmap view (no copy).
         assert isinstance(window, np.memmap)
         assert window.base is not None
 
     def test_spilled_columns_are_read_only(self, tmp_path):
-        database = small_database()
-        spilled = spill_positions_matrix(database, spill_dir=str(tmp_path))
+        frames = frames_of(spilled(small_database(), tmp_path))
         with pytest.raises(ValueError):
-            spilled.coords[0, 0] = 42.0
+            frames[0].coords[0, 0] = 42.0
 
     def test_empty_database_spills_cleanly(self, tmp_path):
-        arena = spill_positions_matrix(
-            TrajectoryDatabase(), timestamps=[0.0, 1.0], spill_dir=str(tmp_path)
-        )
-        assert arena.point_count == 0
-        assert np.array_equal(arena.offsets, np.zeros(3, dtype=np.int64))
+        cluster_db = spilled(TrajectoryDatabase(), tmp_path, timestamps=[0.0, 1.0])
+        assert cluster_db.timestamps() == [0.0, 1.0]
+        assert len(cluster_db) == 0
+        (directory,) = arena_dirs(tmp_path)
+        assert os.path.exists(os.path.join(directory, SPILL_MANIFEST))
+        assert verify_arena_dir(directory)["rows"] == 0

@@ -17,9 +17,9 @@ that claim:
   cap asserted here is 256 MB with ~1.8x headroom over the ~140 MB
   actually observed.
 * **tracemalloc** (which tracks numpy buffers) compares the allocation
-  peak of an in-RAM ``positions_matrix`` extraction against the spilled
-  one on the same database: the spilled build must allocate well under
-  half of the in-RAM peak (observed ratio ≈ 0.13).
+  peak of an in-RAM batched phase 1 against the spilled one on the same
+  database: the spilled build must allocate well under half of the
+  in-RAM peak.
 
 Both are skipped where the measurement primitive is unavailable
 (``/proc/self/status`` is Linux-only; tracemalloc is assumed everywhere).
@@ -37,6 +37,7 @@ import pytest
 
 import repro
 from repro.datagen.scenarios import megacity_scenario
+from repro.engine.phase1 import build_cluster_database_batched
 
 #: Peak-RSS cap for the streamed subprocess build, in MB.  Stated budget:
 #: interpreter + numpy baseline (~90 MB) plus one spill block and its
@@ -92,25 +93,27 @@ def test_streamed_megacity_phase1_under_rss_budget():
 
 
 def test_spilled_extraction_allocates_fraction_of_in_ram_peak():
-    """tracemalloc: the spilled arena build allocates far less than in-RAM."""
+    """tracemalloc: the spilled phase-1 build allocates far less than in-RAM."""
     sim = megacity_scenario(fleet_size=4_000, duration=30, districts=4, seed=211)
     database = sim.database
 
     tracemalloc.start()
-    in_ram = database.positions_matrix()
+    in_ram = build_cluster_database_batched(database, eps=200.0, min_points=5)
     _, peak_in_ram = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    rows = in_ram.point_count
+    clusters = len(in_ram)
     del in_ram
 
     with tempfile.TemporaryDirectory() as spill_dir:
         tracemalloc.start()
-        spilled = database.positions_matrix(spill_dir=spill_dir, snapshot_block=2)
+        spilled = build_cluster_database_batched(
+            database, eps=200.0, min_points=5, spill_dir=spill_dir, snapshot_block=2
+        )
         _, peak_spilled = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert spilled.point_count == rows
-        # Observed ratio is ~0.13; require < 0.5 to stay robust while still
-        # failing hard if the spilled path ever materialises full columns.
+        assert len(spilled) == clusters
+        # Require < 0.5 to stay robust while still failing hard if the
+        # spilled path ever materialises the whole database's arena.
         assert peak_spilled < 0.5 * peak_in_ram, (
             f"spilled build peaked at {peak_spilled / 1e6:.1f} MB traced vs "
             f"{peak_in_ram / 1e6:.1f} MB in-RAM — spilling is not bounding memory"

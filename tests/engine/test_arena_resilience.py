@@ -13,9 +13,9 @@ from repro.engine.arena import (
     ArenaSpool,
     SpillCorruptionError,
     reap_orphaned_spills,
-    spill_positions_matrix,
     verify_arena_dir,
 )
+from repro.engine.phase1 import build_cluster_database_batched
 from repro.geometry.point import Point
 from repro.resilience.faults import FaultPlan, FaultSpec, clear_plan, install_plan
 from repro.trajectory.trajectory import Trajectory, TrajectoryDatabase
@@ -145,30 +145,42 @@ class TestOrphanReaping:
         assert reap_orphaned_spills(str(tmp_path / "nowhere")) == []
 
 
+def _spilled_cluster_db(database, spill_dir, **kwargs):
+    return build_cluster_database_batched(
+        database, eps=150.0, min_points=2, spill_dir=str(spill_dir), **kwargs
+    )
+
+
+def _clusters(cluster_db):
+    return [
+        (c.timestamp, c.cluster_id, sorted(c.members.items())) for c in cluster_db
+    ]
+
+
 class TestCorruptionRebuild:
     def test_spill_corrupt_fault_triggers_bit_identical_rebuild(self, tmp_path):
         database = small_database()
-        reference = spill_positions_matrix(
-            database, spill_dir=str(tmp_path / "clean"), snapshot_block=3
-        )
-        install_plan(FaultPlan([FaultSpec("spill.corrupt", times=1)]))
-        rebuilt = spill_positions_matrix(
-            database, spill_dir=str(tmp_path / "chaos"), snapshot_block=3
-        )
-        assert np.array_equal(rebuilt.coords, reference.coords)
-        assert np.array_equal(rebuilt.object_ids, reference.object_ids)
-        assert np.array_equal(rebuilt.ts_index, reference.ts_index)
-        assert np.array_equal(rebuilt.offsets, reference.offsets)
-        # The corrupted first attempt must not linger on disk.
-        arena_dirs = [
-            entry
-            for entry in os.listdir(tmp_path / "chaos")
-            if entry.startswith("arena-")
-        ]
-        assert len(arena_dirs) == 1
+        reference = _spilled_cluster_db(database, tmp_path / "clean", snapshot_block=3)
+        assert len(reference)
+        # In-process and pooled: the parent owns the spool either way.
+        for workers in (1, 2):
+            chaos_dir = tmp_path / f"chaos-{workers}"
+            plan = FaultPlan([FaultSpec("spill.corrupt", times=1)])
+            install_plan(plan)
+            rebuilt = _spilled_cluster_db(
+                database, chaos_dir, snapshot_block=3, workers=workers
+            )
+            assert plan.fired_counts() == {"spill.corrupt": 1}
+            assert rebuilt.timestamps() == reference.timestamps()
+            assert _clusters(rebuilt) == _clusters(reference)
+            # The corrupted first attempt must not linger on disk.
+            arena_dirs = [
+                entry for entry in os.listdir(chaos_dir) if entry.startswith("arena-")
+            ]
+            assert len(arena_dirs) == 1
 
     def test_persistent_corruption_raises_after_retry(self, tmp_path):
         install_plan(FaultPlan([FaultSpec("spill.corrupt", times=10)]))
         with pytest.raises(SpillCorruptionError, match="twice"):
-            spill_positions_matrix(small_database(), spill_dir=str(tmp_path))
+            _spilled_cluster_db(small_database(), tmp_path)
         assert [e for e in os.listdir(tmp_path) if e.startswith("arena-")] == []

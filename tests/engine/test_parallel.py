@@ -4,7 +4,6 @@ from repro.clustering.snapshot import build_cluster_database
 from repro.core.config import GatheringParameters
 from repro.core.pipeline import GatheringMiner
 from repro.datagen.simulator import SimulationConfig, TaxiFleetSimulator
-from repro.engine.parallel import build_cluster_database_parallel
 from repro.engine.registry import ExecutionConfig
 
 
@@ -21,7 +20,7 @@ class TestParallelClustering:
     def test_matches_serial(self):
         database = small_database()
         serial = build_cluster_database(database, eps=200.0, min_points=3)
-        parallel = build_cluster_database_parallel(
+        parallel = build_cluster_database(
             database, eps=200.0, min_points=3, workers=2
         )
         assert cluster_keys(parallel) == cluster_keys(serial)
@@ -29,7 +28,7 @@ class TestParallelClustering:
     def test_single_worker_degrades_to_serial(self):
         database = small_database()
         serial = build_cluster_database(database, eps=200.0, min_points=3)
-        inline = build_cluster_database_parallel(
+        inline = build_cluster_database(
             database, eps=200.0, min_points=3, workers=1
         )
         assert cluster_keys(inline) == cluster_keys(serial)

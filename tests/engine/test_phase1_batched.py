@@ -10,7 +10,6 @@ from repro.clustering.snapshot import SnapshotCluster, build_cluster_database
 from repro.engine.dbscan import dbscan_numpy_batched
 from repro.engine.frame import FrameBackedCluster
 from repro.engine.kernels import neighbor_pairs, neighbor_pairs_batched
-from repro.engine.parallel import build_cluster_database_parallel
 from repro.engine.phase1 import build_cluster_database_batched, frames_from_arena
 from repro.geometry.point import Point
 from repro.trajectory.trajectory import Trajectory, TrajectoryDatabase
@@ -196,7 +195,7 @@ class TestBatchedBuilder:
     def test_parallel_numpy_blocks_match_serial(self):
         database = _random_database(seed=33)
         serial = build_cluster_database(database, eps=120.0, min_points=2, method="numpy")
-        parallel = build_cluster_database_parallel(
+        parallel = build_cluster_database(
             database, eps=120.0, min_points=2, method="numpy", workers=2
         )
         assert parallel.timestamps() == serial.timestamps()

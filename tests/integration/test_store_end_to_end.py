@@ -1,9 +1,9 @@
-"""Acceptance: sharded mine -> store -> query equals an in-memory run.
+"""Acceptance: pooled mine -> store -> query equals an in-memory run.
 
 Drives the public surfaces end to end, the way a user would:
-``repro mine --shards 4 --store out.db`` followed by
+``repro mine --workers 4 --store out.db`` followed by
 ``repro query --store out.db --bbox ... --from ... --to ...`` must return
-exactly the gatherings an in-memory single-shard ``GatheringMiner`` run
+exactly the gatherings an in-memory single-process ``GatheringMiner`` run
 finds, and the HTTP endpoint must agree with the CLI answer.
 """
 
@@ -40,19 +40,19 @@ def city_database():
 
 @pytest.fixture(scope="module")
 def reference(city_database):
-    """The in-memory, single-shard answer the store must reproduce."""
+    """The in-memory, single-process answer the store must reproduce."""
     return GatheringMiner(PARAMS).mine(city_database)
 
 
 @pytest.fixture(scope="module")
 def mined_store(city_database, tmp_path_factory):
-    """Run ``repro mine --shards 4 --store out.db`` once for the module."""
+    """Run ``repro mine --workers 4 --store out.db`` once for the module."""
     tmp_path = tmp_path_factory.mktemp("store-e2e")
     csv_path = tmp_path / "city.csv"
     store_path = tmp_path / "out.db"
     save_csv(city_database, csv_path)
     exit_code = main(
-        ["mine", "--input", str(csv_path), "--shards", "4", "--store", str(store_path)]
+        ["mine", "--input", str(csv_path), "--workers", "4", "--store", str(store_path)]
         + PARAM_FLAGS
     )
     assert exit_code == 0

@@ -3,7 +3,7 @@
 The vectorized phase-2 sweep (batched arena) and phase-3 detector (packed
 membership matrix) claim *exact label parity* with the scalar python path.
 These properties drive randomized workloads through every entry point —
-direct phase calls, the one-shot miner, the sharded driver and the
+direct phase calls, the one-shot miner (in-process and pooled) and the
 streaming service — and assert the outputs are identical.
 """
 
@@ -17,7 +17,6 @@ from repro.core.gathering import (
     detect_gatherings_tad_star_packed,
 )
 from repro.core.pipeline import GatheringMiner
-from repro.core.sharding import ShardedMiningDriver
 from repro.datagen.synthetic import synthetic_cluster_database, synthetic_crowd
 from repro.engine.bitmatrix import MembershipMatrix
 from repro.engine.registry import ExecutionConfig
@@ -170,7 +169,7 @@ END_TO_END_PARAMS = GatheringParameters(
 
 
 class TestEndToEndParity:
-    """python vs numpy through the mine / mine --shards / stream entry points."""
+    """python vs numpy through the mine / mine --workers / stream entry points."""
 
     def _reference(self, database):
         return GatheringMiner(END_TO_END_PARAMS).mine(database)
@@ -192,11 +191,9 @@ class TestEndToEndParity:
     def test_sharded_driver(self):
         database = _scenario(seed=32)
         reference = self._reference(database)
-        for shards in (2, 3):
-            driver = ShardedMiningDriver(
-                END_TO_END_PARAMS, shards=shards, config=NUMPY
-            )
-            result = driver.mine(database)
+        for workers in (2, 3):
+            config = ExecutionConfig(backend="numpy", workers=workers)
+            result = GatheringMiner(END_TO_END_PARAMS, config=config).mine(database)
             self._assert_matches(reference, result.closed_crowds, result.gatherings)
 
     def test_streaming_service(self):

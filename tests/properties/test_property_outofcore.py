@@ -8,9 +8,8 @@ read-only ``np.memmap`` slices of on-disk columns.  Object-space sharding
 (``object_shards``) makes the same claim: partial arenas are merged back
 into the unsharded row order before DBSCAN ever runs, so it cannot change
 the answer.  These properties drive random irregular databases through
-every combination surface: spill block sizes, ``object_shards ×
-snapshot_shards`` grids (2..4 each), the sharded driver, and the pattern
-store.
+every combination surface: spill block sizes, ``object_shards × workers``
+grids, and the pattern store.
 
 Spill directories are created with ``tempfile.TemporaryDirectory`` inside
 the test bodies (hypothesis forbids function-scoped fixtures such as
@@ -27,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import GatheringParameters
 from repro.core.pipeline import GatheringMiner
-from repro.core.sharding import ShardedMiningDriver
 from repro.engine.phase1 import build_cluster_database_batched
 from repro.engine.registry import ExecutionConfig
 from repro.geometry.point import Point
@@ -83,6 +81,16 @@ def _assert_cluster_dbs_identical(reference, other):
             assert oth.members == ref.members
 
 
+def _frames(cluster_db):
+    """The frame behind each non-empty snapshot, in time order."""
+    frames = []
+    for timestamp in cluster_db.timestamps():
+        clusters = cluster_db.clusters_at(timestamp)
+        if clusters:
+            frames.append(clusters[0].segment()[0])
+    return frames
+
+
 def crowd_keys(crowds):
     return sorted(crowd.keys() for crowd in crowds)
 
@@ -99,23 +107,30 @@ class TestSpilledArenaParity:
     @given(trajectory_databases(), st.integers(min_value=1, max_value=5))
     @settings(max_examples=15, deadline=None)
     def test_spilled_arena_columns_bit_identical(self, database, block):
-        in_ram = database.positions_matrix()
+        """The clustered spool's columns equal the in-RAM clustered columns."""
+        in_ram = build_cluster_database_batched(database, eps=150.0, min_points=2)
         with tempfile.TemporaryDirectory() as spill_dir:
-            spilled = database.positions_matrix(
-                spill_dir=spill_dir, snapshot_block=block
+            spilled = build_cluster_database_batched(
+                database,
+                eps=150.0,
+                min_points=2,
+                snapshot_block=block,
+                spill_dir=spill_dir,
             )
-            assert spilled.spill_dir is not None
-            # Non-empty spilled columns are true memmap views of the files.
-            if spilled.point_count:
-                assert isinstance(spilled.coords, np.memmap)
-                assert isinstance(spilled.ts_index, np.memmap)
-                assert isinstance(spilled.object_ids, np.memmap)
-            assert spilled.timestamps == in_ram.timestamps
-            for column in ("ts_index", "object_ids", "coords", "offsets"):
-                assert np.array_equal(
-                    np.asarray(getattr(spilled, column)),
-                    np.asarray(getattr(in_ram, column)),
-                ), column
+            ram_frames = _frames(in_ram)
+            spilled_frames = _frames(spilled)
+            assert [f.timestamp for f in spilled_frames] == [
+                f.timestamp for f in ram_frames
+            ]
+            for ram, disk in zip(ram_frames, spilled_frames):
+                # Frames are zero-copy slices of the memmapped spool files.
+                assert isinstance(disk.coords, np.memmap)
+                assert isinstance(disk.object_ids, np.memmap)
+                for column in ("coords", "object_ids", "offsets", "cluster_ids"):
+                    assert np.array_equal(
+                        np.asarray(getattr(disk, column)),
+                        np.asarray(getattr(ram, column)),
+                    ), column
 
     @given(trajectory_databases(), st.integers(min_value=1, max_value=5))
     @settings(max_examples=15, deadline=None)
@@ -159,28 +174,25 @@ class TestOutOfCoreMiningParity:
     @given(
         trajectory_databases(),
         st.integers(min_value=2, max_value=4),
-        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=1, max_value=2),
     )
     @settings(max_examples=10, deadline=None)
-    def test_object_by_snapshot_shard_grid(self, database, object_shards, shards):
-        """The full grid: object shards × snapshot shards × out-of-core.
-
-        The reference is the equally-sharded in-RAM driver (snapshot
-        sharding itself has the documented gappy-feed overlap caveat, so
-        an unsharded reference would conflate two properties); the claim
-        under test is that the object axis and the spilled arena change
-        nothing on top of any snapshot sharding.
-        """
-        reference = ShardedMiningDriver(
-            LOOSE_PARAMS, shards=shards, config=NUMPY
-        ).mine(database)
+    def test_object_by_snapshot_shard_grid(self, database, object_shards, workers):
+        """The full grid: object shards × snapshot blocks on workers × spill."""
+        reference = GatheringMiner(LOOSE_PARAMS, config=NUMPY).mine(database)
         with tempfile.TemporaryDirectory() as spill_dir:
-            config = ExecutionConfig(
-                backend="numpy", spill_dir=spill_dir, object_shards=object_shards
+            cluster_db = build_cluster_database_batched(
+                database,
+                eps=LOOSE_PARAMS.eps,
+                min_points=LOOSE_PARAMS.min_points,
+                snapshot_block=2,
+                object_shards=object_shards,
+                spill_dir=spill_dir,
+                workers=workers,
             )
-            gridded = ShardedMiningDriver(
-                LOOSE_PARAMS, shards=shards, config=config
-            ).mine(database)
+            gridded = GatheringMiner(LOOSE_PARAMS, config=NUMPY).mine_clusters(
+                cluster_db
+            )
             assert mining_answer(gridded) == mining_answer(reference)
 
     @given(trajectory_databases())

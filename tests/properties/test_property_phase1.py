@@ -6,12 +6,16 @@ same cluster ids, bit-identical interpolated member positions — while its
 clusters are lazy frame views instead of eager member dicts.  These
 properties drive randomized trajectory databases (irregular sampling, so
 virtual-point interpolation is exercised hard) through the batched builder
-and every surface that consumes its output: direct clustering, the sharded
-driver, streaming windows, and codec/store round-trips.
+and every surface that consumes its output: direct clustering, the pooled
+miner, streaming windows, and codec/store round-trips.  Gappy feeds, whose
+sampling gaps span many blocks, go through every combination of workers,
+spill and object shards.
 """
 
+import tempfile
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clustering.snapshot import build_cluster_database
@@ -23,8 +27,8 @@ from repro.core.codec import (
 )
 from repro.core.config import GatheringParameters
 from repro.core.pipeline import GatheringMiner
-from repro.core.sharding import ShardedMiningDriver
 from repro.engine.frame import FrameBackedCluster
+from repro.engine.phase1 import build_cluster_database_batched
 from repro.engine.registry import ExecutionConfig
 from repro.geometry.point import Point
 from repro.store import PatternStore
@@ -114,8 +118,6 @@ class TestBatchedClusteringParity:
     @given(trajectory_databases(), st.integers(min_value=1, max_value=4))
     @settings(max_examples=10, deadline=None)
     def test_small_snapshot_blocks_change_nothing(self, database, block):
-        from repro.engine.phase1 import build_cluster_database_batched
-
         whole = build_cluster_database_batched(database, eps=150.0, min_points=2)
         chunked = build_cluster_database_batched(
             database, eps=150.0, min_points=2, snapshot_block=block
@@ -136,18 +138,14 @@ def gathering_keys(gatherings):
 class TestBatchedPhase1ThroughPipelines:
     @given(trajectory_databases(), st.integers(min_value=2, max_value=4))
     @settings(max_examples=10, deadline=None)
-    def test_sharded_mining_parity(self, database, shards):
-        # Scalar-vs-batched parity through the sharded driver.  (Sharded
-        # runs on feeds whose sampling gaps exceed the overlap padding can
-        # legitimately differ from an *unsharded* run — the documented
-        # interpolation caveat in repro.core.sharding, backend-independent —
-        # so the reference here is the scalar driver with identical shards.)
+    def test_sharded_mining_parity(self, database, workers):
+        # Scalar-vs-batched parity through the pooled one-shot miner: one
+        # snapshot per job on the python backend, one block per job on numpy.
         results = {}
-        for name, config in (("python", None), ("numpy", NUMPY)):
-            result = ShardedMiningDriver(
-                LOOSE_PARAMS, shards=shards, config=config
-            ).mine(database)
-            results[name] = (
+        for backend in ("python", "numpy"):
+            config = ExecutionConfig(backend=backend, workers=workers)
+            result = GatheringMiner(LOOSE_PARAMS, config=config).mine(database)
+            results[backend] = (
                 crowd_keys(result.closed_crowds),
                 gathering_keys(result.gatherings),
             )
@@ -205,3 +203,109 @@ class TestBatchedPhase1ThroughPipelines:
             assert store.crowd_count() == len(mined.closed_crowds)
         finally:
             store.close()
+
+
+@st.composite
+def gappy_feeds(draw):
+    """Fleets whose sampling gaps run up to the whole duration.
+
+    Every object is sampled at the ends of its own lifespan plus a few
+    interior instants (often none), so most snapshot positions are
+    interpolated across gaps that span several phase-1 blocks.
+    """
+    n_objects = draw(st.integers(min_value=3, max_value=10))
+    duration = draw(st.integers(min_value=4, max_value=20))
+    seed = draw(st.integers(min_value=0, max_value=100_000))
+    rng = np.random.default_rng(seed)
+    database = TrajectoryDatabase()
+    centres = rng.uniform(0.0, 400.0, size=(2, 2))
+    for object_id in range(n_objects):
+        start = float(rng.integers(0, duration // 2 + 1))
+        end = float(rng.integers(int(start) + 1, duration + 1))
+        interior = rng.uniform(start, end, size=int(rng.integers(0, 3)))
+        times = np.unique(np.concatenate(([start, end], interior)))
+        centre = centres[int(rng.integers(0, len(centres)))]
+        walk = np.cumsum(rng.normal(0.0, 40.0, size=(len(times), 2)), axis=0)
+        database.add(
+            Trajectory(
+                object_id,
+                [
+                    (float(t), Point(float(x), float(y)))
+                    for t, (x, y) in zip(times, centre + walk)
+                ],
+            )
+        )
+    return database
+
+
+def endpoint_sampled_feed():
+    """Three objects sampled every step plus one sampled only at both ends.
+
+    All four idle together, so every snapshot holds one four-object
+    cluster; the fourth object's position comes from a 19-step gap that
+    spans every phase-1 block.  A time-sharded driver that sliced
+    trajectories to its shard window dropped it from the interior shards.
+    """
+    database = TrajectoryDatabase()
+    for object_id in range(3):
+        samples = [(float(t), Point(500.0 + 10.0 * object_id, 500.0)) for t in range(20)]
+        database.add(Trajectory(object_id, samples))
+    database.add(Trajectory(3, [(0.0, Point(500.0, 510.0)), (19.0, Point(500.0, 510.0))]))
+    return database
+
+
+class TestGappyFeedParity:
+    """One executor, every axis: gaps of any length mine exactly."""
+
+    @given(gappy_feeds(), st.integers(min_value=1, max_value=3))
+    @example(endpoint_sampled_feed(), 3)
+    @settings(max_examples=10, deadline=None)
+    def test_every_axis_matches_python(self, database, block):
+        reference = GatheringMiner(LOOSE_PARAMS).mine(database)
+        expected = (
+            crowd_keys(reference.closed_crowds),
+            gathering_keys(reference.gatherings),
+        )
+        for workers in (1, 2):
+            for spill in (False, True):
+                for object_shards in (1, 3):
+                    with tempfile.TemporaryDirectory() as spill_dir:
+                        cluster_db = build_cluster_database_batched(
+                            database,
+                            eps=LOOSE_PARAMS.eps,
+                            min_points=LOOSE_PARAMS.min_points,
+                            snapshot_block=block,
+                            object_shards=object_shards,
+                            spill_dir=spill_dir if spill else None,
+                            workers=workers,
+                        )
+                        _assert_cluster_dbs_identical(reference.cluster_db, cluster_db)
+                        result = GatheringMiner(
+                            LOOSE_PARAMS, config=NUMPY
+                        ).mine_clusters(cluster_db)
+                        axes = (workers, spill, object_shards)
+                        assert (
+                            crowd_keys(result.closed_crowds),
+                            gathering_keys(result.gatherings),
+                        ) == expected, axes
+
+
+def test_megacity_quick_mines_the_same_on_every_executor(tmp_path):
+    """Megacity samples each object at 4 waypoints only: long gaps everywhere."""
+    from repro.bench import SCENARIOS
+
+    scenario = SCENARIOS["megacity"]
+    database = scenario.build(quick=True)
+
+    def answer(**config):
+        miner = GatheringMiner(
+            scenario.params, config=ExecutionConfig(backend="numpy", **config)
+        )
+        result = miner.mine(database)
+        return crowd_keys(result.closed_crowds), gathering_keys(result.gatherings)
+
+    in_ram = answer()
+    assert (len(in_ram[0]), len(in_ram[1])) == (6, 6)
+    assert answer(workers=2) == in_ram
+    assert answer(spill_dir=str(tmp_path / "spill")) == in_ram
+    assert answer(workers=2, spill_dir=str(tmp_path / "pooled-spill")) == in_ram

@@ -7,8 +7,9 @@ Two claims back the phase-2 fast path:
   ``within_hausdorff`` sweep on randomized arenas, including empty
   snapshots (``max_gap``-style feed outages) and single-cluster snapshots;
 * propagating candidates over that graph yields label-identical crowds to
-  the scalar reference loop — through the direct entry point, the sharded
-  driver (2..4 shards) and the streaming service (varying windows).
+  the scalar reference loop — through the direct entry point, the pooled
+  one-shot miner (2..4 workers) and the streaming service (varying
+  windows).
 """
 
 import numpy as np
@@ -19,7 +20,6 @@ from repro.clustering.snapshot import ClusterDatabase
 from repro.core.config import GatheringParameters
 from repro.core.crowd_discovery import discover_closed_crowds
 from repro.core.pipeline import GatheringMiner
-from repro.core.sharding import ShardedMiningDriver
 from repro.datagen.synthetic import (
     random_snapshot_cluster,
     synthetic_cluster_database,
@@ -172,27 +172,28 @@ def _scenario(seed, fleet_size=70, duration=30):
 
 
 class TestShardedAndStreamingParity:
-    """The frontier sweep behind the sharded driver and the stream service."""
+    """The frontier sweep behind the pooled miner and the stream service."""
 
     @given(
         st.integers(min_value=2, max_value=4),
         st.integers(min_value=40, max_value=48),
     )
     @settings(max_examples=6, deadline=None)
-    def test_sharded_driver_matches_unsharded_scalar(self, shards, seed):
+    def test_sharded_driver_matches_unsharded_scalar(self, workers, seed):
         database = _scenario(seed=seed)
         reference = GatheringMiner(END_TO_END_PARAMS).mine(database)
-        driver = ShardedMiningDriver(END_TO_END_PARAMS, shards=shards, config=NUMPY)
-        result = driver.mine(database)
-        assert sorted(crowd_keys(result.closed_crowds)) == sorted(
+        miner = GatheringMiner(
+            END_TO_END_PARAMS, config=ExecutionConfig(backend="numpy", workers=workers)
+        )
+        crowds = miner.discover_crowds(miner.cluster(database))
+        assert sorted(crowd_keys(crowds.closed_crowds)) == sorted(
             crowd_keys(reference.closed_crowds)
         )
-        assert sorted(gathering_keys(result.gatherings)) == sorted(
+        assert sorted(gathering_keys(miner.detect(crowds.closed_crowds))) == sorted(
             gathering_keys(reference.gatherings)
         )
-        # The per-shard sweeps ran the graph path: the stitch report carries
-        # the accumulated build time of the per-shard subgraphs.
-        assert driver.last_report.proximity_seconds > 0.0
+        # The pooled phase 1 fed the graph path.
+        assert crowds.proximity_seconds > 0.0
 
     @given(
         st.sampled_from([4, 6, 9]),

@@ -131,6 +131,23 @@ class TestMine:
         capsys.readouterr()
         assert json.loads(python_json.read_text()) == json.loads(numpy_json.read_text())
 
+    def test_pooled_spilled_mine_matches_single_process(self, fleet_csv, tmp_path, capsys):
+        flags = ["--kc", "10", "--kp", "6", "--mp", "4", "--mc", "5"]
+        single_json, pooled_json = tmp_path / "single.json", tmp_path / "pooled.json"
+        assert main(["mine", "--input", str(fleet_csv), *flags, "--json", str(single_json)]) == 0
+        assert main(
+            [
+                "mine", "--input", str(fleet_csv), *flags, "--workers", "2",
+                "--spill-dir", str(tmp_path / "spill"), "--json", str(pooled_json),
+            ]
+        ) == 0
+        capsys.readouterr()
+        assert json.loads(pooled_json.read_text()) == json.loads(single_json.read_text())
+        # The time-sharded driver and its flags are gone.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mine", "--input", str(fleet_csv), "--shards", "4"])
+        assert excinfo.value.code == 2
+
 
 GARBLED_CSV = Path(__file__).parent / "fixtures" / "ingest" / "garbled.csv"
 

@@ -30,7 +30,7 @@ def test_api_doc_has_snippets_for_every_documented_class():
     snippets = "\n".join(extract_snippets(text))
     for name in (
         "GatheringMiner",
-        "ShardedMiningDriver",
+        "ExecutionConfig",
         "StreamingGatheringService",
         "PatternStore",
         "PatternApp",
