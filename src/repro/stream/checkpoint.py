@@ -50,7 +50,6 @@ from ..core.codec import (
 )
 from ..core.config import GatheringParameters
 from ..engine.registry import ExecutionConfig
-from ..geometry.point import Point
 from ..resilience.faults import maybe_fault
 
 __all__ = [
@@ -270,7 +269,7 @@ def load_checkpoint(path: PathLike, fallback: bool = True):
 def _service_from_document(document: dict):
     """Materialise a live service from a verified checkpoint document."""
     from ..quality import QualityConfig
-    from .service import StreamingGatheringService, StreamPoint, StreamStats
+    from .service import Fix, StreamingGatheringService, StreamPoint, StreamStats
 
     # Older checkpoints predate the quality firewall; they restore with it
     # disarmed, exactly how they were running when written.
@@ -304,11 +303,11 @@ def _service_from_document(document: dict):
     service._max_seen_t = stream["max_seen_t"]
     service._finished = bool(stream["finished"])
     service._carry = {
-        int(oid): (float(t), Point(float(x), float(y)))
+        int(oid): (float(t), Fix(float(x), float(y)))
         for oid, t, x, y in stream["carry"]
     }
     service._pending = {
-        int(oid): {float(t): Point(float(x), float(y)) for t, x, y in samples}
+        int(oid): {float(t): Fix(float(x), float(y)) for t, x, y in samples}
         for oid, samples in stream["pending"]
     }
     service._pending_count = sum(len(s) for s in service._pending.values())

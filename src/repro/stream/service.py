@@ -38,19 +38,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from itertools import chain, repeat
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Union
+
+import numpy as np
 
 from ..core.config import GatheringParameters
 from ..core.crowd import Crowd
 from ..core.gathering import Gathering, dedupe_gatherings
 from ..core.pipeline import GatheringMiner, IncrementalGatheringMiner
 from ..engine.registry import ExecutionConfig
-from ..geometry.point import Point
 from ..quality import IngestError, QualityConfig, RawRecord
 from ..quality.pipeline import GARBLE_SITE
 from ..quality.rules import NON_FINITE, OUT_OF_BOUNDS, TELEPORT, travel_distance
 from ..resilience.faults import maybe_fault
-from ..trajectory.trajectory import Trajectory, TrajectoryDatabase
+from ..trajectory.trajectory import TrajectoryDatabase
 
 __all__ = [
     "LATE_POLICIES",
@@ -84,6 +86,13 @@ class StreamPoint:
     y: float
 
 
+class Fix(NamedTuple):
+    """The raw coordinates of one buffered fix (its object and time are keys)."""
+
+    x: float
+    y: float
+
+
 @dataclass
 class StreamStats:
     """Counters describing one service's lifetime (survive checkpoints)."""
@@ -99,7 +108,8 @@ class StreamStats:
     peak_retained_clusters: int = 0
     backpressure_events: int = 0
     #: Accumulated proximity-graph build seconds across window sweeps
-    #: (non-zero only on the columnar frontier fast path).
+    #: (non-zero on every numpy-backend run; zero on the scalar backend,
+    #: which builds no proximity graph).
     proximity_seconds: float = 0.0
     #: Live points rejected by the quality firewall (malformed/implausible).
     points_rejected: int = 0
@@ -252,12 +262,12 @@ class StreamingGatheringService:
         self._max_seen_t: Optional[float] = None
         self._finished = False
 
-        # Raw fixes of not-yet-closed windows, keyed object -> {t: Point}
+        # Raw fixes of not-yet-closed windows, keyed object -> {t: Fix}
         # (idempotent under at-least-once redelivery), plus the last folded
         # fix per object for boundary interpolation.
-        self._pending: Dict[int, Dict[float, Point]] = {}
+        self._pending: Dict[int, Dict[float, Fix]] = {}
         self._pending_count = 0
-        self._carry: Dict[int, Tuple[float, Point]] = {}
+        self._carry: Dict[int, Tuple[float, Fix]] = {}
 
         # Append-only results flushed out of the live miners by eviction.
         self._frozen_crowds: List[Crowd] = []
@@ -427,7 +437,7 @@ class StreamingGatheringService:
         if point.t not in bucket:
             self._pending_count += 1
             self.stats.points_ingested += 1
-        bucket[point.t] = Point(point.x, point.y)
+        bucket[point.t] = Fix(point.x, point.y)
         if self.quality is not None:
             previous = self._last_valid.get(point.object_id)
             if previous is None or point.t > previous[0]:
@@ -468,28 +478,7 @@ class StreamingGatheringService:
             return
         window_end = timestamps[-1] + self.params.time_step - _GRID_EPS
 
-        # Interpolation anchors: every fix that has arrived for the object
-        # (fixes of future windows stay pending but still anchor the right
-        # edge) plus the last folded fix, so virtual points across window
-        # boundaries match what the batch pipeline would interpolate.
-        database = TrajectoryDatabase()
-        for object_id, samples in self._pending.items():
-            anchors = sorted(samples.items())
-            carried = self._carry.get(object_id)
-            if carried is not None:
-                anchors = [carried] + anchors
-            database.add(Trajectory(object_id, anchors))
-            taken = [t for t in samples if t < window_end]
-            if taken:
-                last = max(taken)
-                self._carry[object_id] = (last, samples[last])
-                for t in taken:
-                    del samples[t]
-                self._pending_count -= len(taken)
-        self._pending = {
-            oid: samples for oid, samples in self._pending.items() if samples
-        }
-
+        database = self._window_database(window_end)
         cluster_db = self._clusterer.cluster(database, timestamps=timestamps)
         self.stats.clusters_built += len(cluster_db)
         # Accumulate the delta (not the miner's running total): the stats
@@ -521,6 +510,66 @@ class StreamingGatheringService:
         retained = self.retained_cluster_count()
         if retained > self.stats.peak_retained_clusters:
             self.stats.peak_retained_clusters = retained
+
+    def _window_database(self, window_end: float) -> TrajectoryDatabase:
+        """The interpolation anchors of the closing window, as one database.
+
+        Every object with pending fixes contributes its carried fix (the
+        last one folded) and every pending fix — fixes of future windows
+        stay pending but still anchor the right edge — so virtual points
+        across window boundaries match what the batch pipeline would
+        interpolate.  The anchors are flattened into ``oid/t/x/y`` columns
+        in one pass and handed to :meth:`TrajectoryDatabase.from_columns`;
+        the fixes before ``window_end`` then leave the buffer and each
+        object's last one becomes its new carried fix.
+        """
+        pending = self._pending
+        carry = self._carry
+        object_ids: List[int] = []
+        times: List[float] = []
+        coords: List[Fix] = []
+        carried_rows: List[int] = []
+        for object_id, samples in pending.items():
+            carried = carry.get(object_id)
+            if carried is not None:
+                # Carried first: from_columns sorts stably, so it stays the
+                # first of equal times, as the carried anchor always was.
+                carried_rows.append(len(times))
+                object_ids.append(object_id)
+                times.append(carried[0])
+                coords.append(carried[1])
+            object_ids.extend(repeat(object_id, len(samples)))
+            times.extend(samples)
+            coords.extend(samples.values())
+        oid = np.array(object_ids, dtype=np.int64)
+        t = np.array(times, dtype=float)
+        xy = np.fromiter(
+            chain.from_iterable(coords), dtype=float, count=2 * len(coords)
+        ).reshape(-1, 2)
+        database = TrajectoryDatabase.from_columns(oid, t, xy[:, 0], xy[:, 1])
+
+        taken = t < window_end
+        taken[carried_rows] = False
+        rows = np.flatnonzero(taken)
+        if rows.size:
+            # Each object's rows are contiguous and its pending times
+            # distinct, so its latest taken fix is the one row of its run
+            # that holds the run's largest time.
+            taken_t = t[rows]
+            runs = np.flatnonzero(
+                np.concatenate(([True], oid[rows[1:]] != oid[rows[:-1]]))
+            )
+            latest = np.maximum.reduceat(taken_t, runs)
+            lengths = np.diff(np.append(runs, len(rows)))
+            for row in rows[taken_t == np.repeat(latest, lengths)].tolist():
+                carry[object_ids[row]] = (times[row], coords[row])
+            for row in rows.tolist():
+                del pending[object_ids[row]][times[row]]
+            self._pending_count -= len(rows)
+            self._pending = {
+                object_id: samples for object_id, samples in pending.items() if samples
+            }
+        return database
 
     def finish(self) -> StreamResult:
         """Flush every pending window and return the final global answer.

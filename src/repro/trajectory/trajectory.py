@@ -72,9 +72,12 @@ class Trajectory:
     demand: a list of ``(time, Point)`` pairs (:attr:`samples`, what the
     scalar paths and incremental appends use) or one ``(n, 3)`` float64
     ``(t, x, y)`` array (:meth:`sample_triples`, what the numpy phase-1
-    path reads).  A trajectory built by :meth:`from_array` — every load
-    through the ingest firewall — keeps only the array until something
-    asks for :attr:`samples`, so the numpy path never creates a
+    path reads).  A trajectory built by :meth:`from_array` keeps only the
+    array until something asks for :attr:`samples`.  Every load through
+    the ingest firewall and every window the streaming service closes
+    builds its database with :meth:`TrajectoryDatabase.from_columns`,
+    whose trajectories are such views (created only when asked for), so
+    the numpy path — batch or stream — never creates a
     :class:`~repro.geometry.point.Point`.
 
     Attributes
@@ -241,18 +244,83 @@ class Trajectory:
         return Trajectory(object_id=self.object_id, samples=samples)
 
 
+@dataclass(frozen=True)
+class _SampleColumns:
+    """Every sample of a database as flat columns, grouped by object.
+
+    Object ``object_ids[i]`` owns rows ``first[i]:stop[i]`` of
+    :attr:`triples`, sorted by time; ``object_ids`` ascends.  A subset
+    shares :attr:`triples` and selects entries of the other three arrays,
+    so no object's rows are ever copied to restrict a database.
+    """
+
+    object_ids: np.ndarray
+    first: np.ndarray
+    stop: np.ndarray
+    triples: np.ndarray
+
+
+def _segment_searchsorted(
+    values: np.ndarray, first: np.ndarray, stop: np.ndarray, target: float, side: str
+) -> np.ndarray:
+    """``np.searchsorted`` of one ``target`` in every sorted segment at once.
+
+    Segment ``i`` is ``values[first[i]:stop[i]]``; the result is the absolute
+    row where ``target`` would be inserted into it (``side`` as in
+    :func:`numpy.searchsorted`).  All segments are bisected in lock step, so
+    the cost is ``O(segments * log(longest segment))`` numpy work with no
+    per-segment Python call.
+    """
+    lo = first.copy()
+    hi = stop.copy()
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        mid = (lo[live] + hi[live]) >> 1
+        probe = values[mid]
+        right = probe < target if side == "left" else probe <= target
+        lo[live[right]] = mid[right] + 1
+        hi[live[~right]] = mid[~right]
+        live = live[lo[live] < hi[live]]
+    return lo
+
+
 class TrajectoryDatabase:
     """The moving-object database ``O_DB``.
 
     Stores :class:`Trajectory` objects indexed by object id and provides the
     snapshot view needed by per-timestamp clustering.
+
+    A database built by :meth:`from_columns` holds only its sample columns
+    and creates the :class:`Trajectory` objects the first time something
+    asks for them (iteration, lookup, the time domain, mutation), so
+    :meth:`positions_matrix` at explicit timestamps — the stream's window
+    close — never builds one per object.  A database built from
+    trajectories derives the columns on the first :meth:`positions_matrix`
+    call and drops them on mutation.
     """
 
     def __init__(self, trajectories: Optional[Iterable[Trajectory]] = None) -> None:
-        self._trajectories: Dict[int, Trajectory] = {}
+        #: Object id -> trajectory; ``None`` until built from :attr:`_columns`.
+        self._trajectories: Optional[Dict[int, Trajectory]] = {}
+        #: Every sample as columns; ``None`` until first needed.
+        self._columns: Optional[_SampleColumns] = None
+        #: While ``_trajectories`` is ``None``: the column indices of the
+        #: objects in insertion order, the order they will be iterated in.
+        self._order: Optional[np.ndarray] = None
         if trajectories:
             for traj in trajectories:
                 self.add(traj)
+
+    @classmethod
+    def _from_sample_columns(
+        cls, columns: _SampleColumns, order: np.ndarray
+    ) -> "TrajectoryDatabase":
+        """A database holding only ``columns``, iterated in ``order``."""
+        database = cls()
+        database._trajectories = None
+        database._columns = columns
+        database._order = order
+        return database
 
     @classmethod
     def from_columns(
@@ -262,59 +330,103 @@ class TrajectoryDatabase:
 
         Equivalent to calling :meth:`add_sample` row by row: objects appear
         in order of their first row, and each object's samples are sorted by
-        time, stably (equal times keep row order).  Every trajectory keeps
-        its samples as one ``(n, 3)`` array (:meth:`Trajectory.from_array`).
+        time, stably (equal times keep row order).  The rows are kept as one
+        ``(n, 3)`` array; each trajectory, once asked for, is a view of its
+        slice (:meth:`Trajectory.from_array`).
         """
-        database = cls()
         if not len(object_ids):
-            return database
-        ids, first, code = np.unique(object_ids, return_index=True, return_inverse=True)
-        # Rank objects by first appearance, then sort rows by (rank, t, row).
-        appearance = np.argsort(first, kind="stable")
-        rank = np.empty_like(appearance)
-        rank[appearance] = np.arange(len(ids))
-        row_rank = rank[code.ravel()]
-        order = np.lexsort((t, row_rank))
+            return cls()
+        object_ids = np.asarray(object_ids)
+        order = np.lexsort((t, object_ids))
+        sorted_ids = object_ids[order]
+        first = np.flatnonzero(
+            np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
+        )
+        stop = np.append(first[1:], len(order))
         triples = np.stack((t[order], x[order], y[order]), axis=1)
-        bounds = np.searchsorted(row_rank[order], np.arange(len(ids) + 1)).tolist()
-        id_list = ids.tolist()
-        for position, index in enumerate(appearance.tolist()):
-            object_id = id_list[index]
-            database._trajectories[object_id] = Trajectory.from_array(
-                object_id, triples[bounds[position] : bounds[position + 1]]
+        # Objects are iterated in order of their first row.
+        appearance = np.argsort(np.minimum.reduceat(order, first), kind="stable")
+        columns = _SampleColumns(sorted_ids[first], first, stop, triples)
+        return cls._from_sample_columns(columns, appearance)
+
+    # -- representations ------------------------------------------------------
+    def _objects(self) -> Dict[int, Trajectory]:
+        """The id -> trajectory dict, built from the columns on first use."""
+        if self._trajectories is None:
+            columns = self._columns
+            ids = columns.object_ids.tolist()
+            first = columns.first.tolist()
+            stop = columns.stop.tolist()
+            triples = columns.triples
+            self._trajectories = {
+                ids[i]: Trajectory.from_array(ids[i], triples[first[i] : stop[i]])
+                for i in self._order.tolist()
+            }
+            self._order = None
+        return self._trajectories
+
+    def _sample_columns(self) -> _SampleColumns:
+        """Every sample as columns, built from the trajectories on first use.
+
+        Each trajectory's cached array becomes a view of its rows, so the
+        samples are held once.
+        """
+        if self._columns is None:
+            trajectories = self._trajectories
+            ids = sorted(trajectories)
+            lengths = np.fromiter(
+                (len(trajectories[object_id]) for object_id in ids),
+                dtype=np.int64,
+                count=len(ids),
             )
-        return database
+            stop = np.cumsum(lengths)
+            first = stop - lengths
+            triples = np.empty((int(stop[-1]) if len(ids) else 0, 3), dtype=float)
+            for object_id, a, b in zip(ids, first.tolist(), stop.tolist()):
+                trajectory = trajectories[object_id]
+                triples[a:b] = trajectory.sample_triples()
+                trajectory._triples = triples[a:b]
+            self._columns = _SampleColumns(
+                np.asarray(ids, dtype=np.int64), first, stop, triples
+            )
+        return self._columns
 
     # -- container protocol --------------------------------------------------
     def __len__(self) -> int:
+        if self._trajectories is None:
+            return len(self._columns.object_ids)
         return len(self._trajectories)
 
     def __iter__(self) -> Iterator[Trajectory]:
-        return iter(self._trajectories.values())
+        return iter(self._objects().values())
 
     def __contains__(self, object_id: int) -> bool:
-        return object_id in self._trajectories
+        return object_id in self._objects()
 
     def __getitem__(self, object_id: int) -> Trajectory:
-        return self._trajectories[object_id]
+        return self._objects()[object_id]
 
     # -- mutation -------------------------------------------------------------
     def add(self, trajectory: Trajectory) -> None:
         """Add a trajectory; samples are merged if the object already exists."""
-        existing = self._trajectories.get(trajectory.object_id)
+        trajectories = self._objects()
+        self._columns = None
+        existing = trajectories.get(trajectory.object_id)
         if existing is None:
-            self._trajectories[trajectory.object_id] = trajectory
+            trajectories[trajectory.object_id] = trajectory
         else:
             merged = existing.samples + trajectory.samples
-            self._trajectories[trajectory.object_id] = Trajectory(
+            trajectories[trajectory.object_id] = Trajectory(
                 object_id=trajectory.object_id, samples=merged
             )
 
     def add_sample(self, object_id: int, t: float, point: Point) -> None:
         """Append a single sample for an object, creating it if needed."""
-        traj = self._trajectories.get(object_id)
+        trajectories = self._objects()
+        self._columns = None
+        traj = trajectories.get(object_id)
         if traj is None:
-            self._trajectories[object_id] = Trajectory(object_id, [(t, point)])
+            trajectories[object_id] = Trajectory(object_id, [(t, point)])
         else:
             traj.add_sample(t, point)
 
@@ -325,28 +437,35 @@ class TrajectoryDatabase:
 
     # -- views ----------------------------------------------------------------
     def object_ids(self) -> List[int]:
-        return sorted(self._trajectories)
+        return sorted(self._objects())
 
     def subset_objects(self, object_ids: Iterable[int]) -> "TrajectoryDatabase":
-        """Database restricted to the given object ids (trajectories shared).
+        """Database restricted to the given object ids (samples shared).
 
-        Unknown ids are ignored.  The returned database references the same
-        :class:`Trajectory` objects (no sample copying), so it is cheap to
-        build one per object shard.
+        Unknown ids are ignored; objects are iterated in the order given.
+        The returned database shares this one's sample columns (no sample
+        copying), so it is cheap to build one per object shard and block.
         """
-        subset = TrajectoryDatabase()
-        for object_id in object_ids:
-            trajectory = self._trajectories.get(object_id)
-            if trajectory is not None:
-                subset._trajectories[object_id] = trajectory
-        return subset
+        columns = self._sample_columns()
+        ids = np.asarray(list(object_ids), dtype=np.int64)
+        found = np.searchsorted(columns.object_ids, ids)
+        known = found < len(columns.object_ids)
+        known[known] = columns.object_ids[found[known]] == ids[known]
+        found = found[known]
+        keep, first_seen = np.unique(found, return_index=True)
+        order = np.searchsorted(keep, found[np.sort(first_seen)])
+        subset = _SampleColumns(
+            columns.object_ids[keep], columns.first[keep], columns.stop[keep], columns.triples
+        )
+        return TrajectoryDatabase._from_sample_columns(subset, order)
 
     def time_domain(self) -> Tuple[float, float]:
         """The overall ``[min_t, max_t]`` across all trajectories."""
-        if not self._trajectories:
+        trajectories = self._objects()
+        if not trajectories:
             raise ValueError("time domain of an empty database is undefined")
-        starts = [t.start_time for t in self._trajectories.values() if not t.is_empty()]
-        ends = [t.end_time for t in self._trajectories.values() if not t.is_empty()]
+        starts = [t.start_time for t in trajectories.values() if not t.is_empty()]
+        ends = [t.end_time for t in trajectories.values() if not t.is_empty()]
         if not starts:
             raise ValueError("time domain of an empty database is undefined")
         return (min(starts), max(ends))
@@ -364,7 +483,7 @@ class TrajectoryDatabase:
     ) -> Dict[int, Point]:
         """Positions of every object observed (or interpolated) at time ``t``."""
         positions: Dict[int, Point] = {}
-        for object_id, traj in self._trajectories.items():
+        for object_id, traj in self._objects().items():
             p = traj.position_at(t, max_gap=max_gap)
             if p is not None:
                 positions[object_id] = p
@@ -378,10 +497,12 @@ class TrajectoryDatabase:
     ) -> PositionArena:
         """Every object's position at every timestamp, as one columnar arena.
 
-        Vectorized equivalent of calling :meth:`snapshot` per timestamp: for
-        each object the sample times are searched once for *all* query
-        instants (``searchsorted``) and the virtual points are produced with
-        the same linear-interpolation arithmetic as
+        Vectorized equivalent of calling :meth:`snapshot` per timestamp.  It
+        reads the sample columns: every object's rows bracketing the queried
+        span are found at once (:func:`_segment_searchsorted`) and only those
+        rows are gathered, so a long database walked block by block is never
+        copied per block.  The virtual points are produced with the same
+        linear-interpolation arithmetic as
         :func:`~repro.geometry.interpolation.interpolate_position`, so the
         coordinates are bit-identical to the scalar path — without creating
         a single :class:`~repro.geometry.point.Point` object.
@@ -398,29 +519,8 @@ class TrajectoryDatabase:
             timestamps = self.timestamps(step=time_step)
         t_arr = np.asarray(list(timestamps), dtype=float)
         m = len(t_arr)
-
-        tracks: List[Tuple[int, "np.ndarray"]] = []
-        if m:
-            t_min = float(t_arr.min())
-            t_max = float(t_arr.max())
-            for object_id in sorted(self._trajectories):
-                triples = self._trajectories[object_id].sample_triples()
-                if not len(triples):
-                    continue
-                # Only the samples bracketing the query window matter; the
-                # slice keeps one sample at or before t_min and one at or
-                # after t_max, so every in-window interpolation (and the
-                # outside-lifespan test) sees exactly the samples the
-                # unsliced search would.  This keeps the per-call sort
-                # proportional to the window, not the whole history, when
-                # the batched builder walks a long database block by block.
-                times = triples[:, 0]
-                lo = max(int(np.searchsorted(times, t_min, side="left")) - 1, 0)
-                hi = min(int(np.searchsorted(times, t_max, side="right")) + 1, len(times))
-                window = triples[lo:hi]
-                if len(window):
-                    tracks.append((object_id, window))
-        if not tracks or m == 0:
+        columns = self._sample_columns()
+        if m == 0 or not len(columns.triples):
             return PositionArena(
                 timestamps=tuple(float(t) for t in t_arr),
                 ts_index=np.empty(0, dtype=np.int64),
@@ -428,11 +528,34 @@ class TrajectoryDatabase:
                 coords=np.empty((0, 2), dtype=float),
                 offsets=np.zeros(m + 1, dtype=np.int64),
             )
-        n_objects = len(tracks)
-        lengths = np.asarray([len(track) for _, track in tracks], dtype=np.int64)
-        starts = np.zeros(n_objects, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        flat = np.concatenate([track for _, track in tracks])
+
+        # Only the samples bracketing the queried span matter: one sample at
+        # or before t_min and one at or after t_max per object, so every
+        # in-span interpolation (and the outside-lifespan test) sees exactly
+        # the samples a search of the whole history would.
+        all_times = columns.triples[:, 0]
+        lo = np.maximum(
+            _segment_searchsorted(
+                all_times, columns.first, columns.stop, t_arr.min(), "left"
+            )
+            - 1,
+            columns.first,
+        )
+        hi = np.minimum(
+            _segment_searchsorted(
+                all_times, columns.first, columns.stop, t_arr.max(), "right"
+            )
+            + 1,
+            columns.stop,
+        )
+        tracked = np.flatnonzero(hi > lo)
+        lo = lo[tracked]
+        lengths = hi[tracked] - lo
+        n_objects = len(tracked)
+        starts = np.cumsum(lengths) - lengths
+        flat = columns.triples[
+            np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(lo - starts, lengths)
+        ]
         times_flat = flat[:, 0]
 
         # Every object's bracketing-sample search runs as ONE searchsorted:
@@ -488,12 +611,11 @@ class TrajectoryDatabase:
             y[interp] = flat[i0, 2] + ratio * (flat[i1, 2] - flat[i0, 2])
 
         # Rows come out timestamp-major with ascending object id inside each
-        # timestamp (objects were laid out in ascending-id order).
+        # timestamp (the columns hold objects in ascending-id order).
         present_2d = present.reshape(n_objects, m)
         ts_index, object_rows = np.nonzero(present_2d.T)
         flat_rows = object_rows * m + ts_index
-        track_ids = np.asarray([object_id for object_id, _ in tracks], dtype=np.int64)
-        oid_arr = track_ids[object_rows]
+        oid_arr = columns.object_ids[tracked][object_rows].astype(np.int64)
         coords = np.stack((x[flat_rows], y[flat_rows]), axis=1)
         offsets = np.searchsorted(
             ts_index, np.arange(m + 1, dtype=np.int64), side="left"
@@ -509,7 +631,7 @@ class TrajectoryDatabase:
     def slice_time(self, t_start: float, t_end: float) -> "TrajectoryDatabase":
         """Database restricted to samples within ``[t_start, t_end]``."""
         sliced = TrajectoryDatabase()
-        for traj in self._trajectories.values():
+        for traj in self:
             sub = traj.slice_time(t_start, t_end)
             if not sub.is_empty():
                 sliced.add(sub)
@@ -519,8 +641,8 @@ class TrajectoryDatabase:
         """Database restricted to the given object ids."""
         wanted = set(object_ids)
         return TrajectoryDatabase(
-            traj for oid, traj in self._trajectories.items() if oid in wanted
+            traj for oid, traj in self._objects().items() if oid in wanted
         )
 
     def total_samples(self) -> int:
-        return sum(len(traj) for traj in self._trajectories.values())
+        return sum(len(traj) for traj in self._objects().values())

@@ -6,16 +6,24 @@ import os
 
 from repro.core.config import GatheringParameters
 from repro.core.pipeline import GatheringMiner
+from repro.datagen.events import GatheringEvent
 from repro.datagen.simulator import SimulationConfig, TaxiFleetSimulator
 from repro.engine.arena import SPILL_MANIFEST
 from repro.engine.registry import ExecutionConfig
+from repro.geometry.point import Point
 
 PARAMS = GatheringParameters(eps=200.0, min_points=3, mc=4, kc=4, kp=3, mp=3)
 
 
 def _database(seed=9):
+    # One injected event makes the fleet mine 1 crowd and 1 gathering (the
+    # fleet alone mines none), so the parity checks compare a gathering.
     simulator = TaxiFleetSimulator(seed=seed)
-    return simulator.simulate(SimulationConfig(fleet_size=40, duration=12)).database
+    event = GatheringEvent(
+        center=Point(1500.0, 2000.0), start=2, end=14, participants=12
+    )
+    config = SimulationConfig(fleet_size=40, duration=16)
+    return simulator.simulate(config, gathering_events=[event]).database
 
 
 def _signature(result):
@@ -53,6 +61,7 @@ class TestChaosMine:
         plan = arm("worker.crash:2,spill.corrupt:1,seed:7")
         chaotic = _pooled_spilled_mine(database, str(tmp_path / "chaos"))
 
+        assert len(reference.gatherings) >= 1
         assert _signature(chaotic) == _signature(reference)
         assert chaotic.closed_crowds == reference.closed_crowds
         assert chaotic.gatherings == reference.gatherings
@@ -69,6 +78,7 @@ class TestChaosMine:
             PARAMS,
             config=ExecutionConfig(backend="numpy", workers=2),
         ).mine(database)
+        assert len(serial.gatherings) >= 1
         assert _signature(chaotic) == _signature(serial)
         assert plan.fired_counts().get("worker.crash", 0) == 1
         _assert_no_orphans(str(tmp_path))

@@ -120,6 +120,116 @@ class TestPositionsMatrix:
         assert arena.offsets.tolist() == [0, 0, 0]
 
 
+def _both_layouts(tracks):
+    """The same samples as a trajectory-built and a column-built database.
+
+    ``tracks`` maps object id -> list of ``(t, x, y)``; the column-built
+    database holds its samples only as columns until asked for trajectories.
+    """
+    built = TrajectoryDatabase(
+        Trajectory.from_coordinates(object_id, rows) for object_id, rows in tracks.items()
+    )
+    rows = [(object_id, *row) for object_id, samples in tracks.items() for row in samples]
+    columns = np.asarray([row[0] for row in rows], dtype=np.int64)
+    values = np.asarray([row[1:] for row in rows], dtype=float).reshape(-1, 3)
+    from_columns = TrajectoryDatabase.from_columns(
+        columns, values[:, 0], values[:, 1], values[:, 2]
+    )
+    return built, from_columns
+
+
+def _assert_matches_snapshots(database, timestamps, max_gap=None):
+    arena = database.positions_matrix(timestamps, max_gap=max_gap)
+    assert arena.offsets.tolist()[0] == 0
+    assert len(arena.offsets) == len(timestamps) + 1
+    for index, t in enumerate(timestamps):
+        start, end = arena.snapshot_rows(index)
+        expected = database.snapshot(t, max_gap=max_gap)
+        assert arena.ts_index[start:end].tolist() == [index] * (end - start)
+        assert arena.object_ids[start:end].tolist() == sorted(expected)
+        for row, object_id in zip(range(start, end), sorted(expected)):
+            # Bit-identical virtual points, not merely close ones.
+            assert arena.coords[row].tobytes() == np.asarray(
+                [expected[object_id].x, expected[object_id].y]
+            ).tobytes()
+    return arena
+
+
+class TestPositionsMatrixEdges:
+    """``positions_matrix`` ≡ ``snapshot()`` on the shapes a block can see."""
+
+    TIMESTAMPS = [2.0, 2.5, 3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("layout", [0, 1])
+    def test_empty_trajectories(self, layout):
+        tracks = {1: [], 2: [(1.0, 0.0, 0.0), (6.0, 50.0, 10.0)], 3: []}
+        database = _both_layouts(tracks)[layout]
+        if layout == 0:
+            database.add(Trajectory(4, []))
+        arena = _assert_matches_snapshots(database, self.TIMESTAMPS)
+        assert set(arena.object_ids.tolist()) == {2}
+
+    @pytest.mark.parametrize("layout", [0, 1])
+    def test_single_sample_trajectories(self, layout):
+        tracks = {1: [(3.0, 7.0, 8.0)], 2: [(2.75, 1.0, 1.0)], 3: [(9.0, 0.0, 0.0)]}
+        database = _both_layouts(tracks)[layout]
+        arena = _assert_matches_snapshots(database, self.TIMESTAMPS)
+        # Only the sample that falls exactly on a queried instant shows.
+        assert arena.object_ids.tolist() == [1]
+
+    @pytest.mark.parametrize("layout", [0, 1])
+    def test_objects_wholly_before_or_after(self, layout):
+        tracks = {
+            1: [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.5, 2.0, 2.0)],
+            2: [(5.5, 0.0, 0.0), (8.0, 3.0, 3.0)],
+            3: [(0.0, 0.0, 0.0), (10.0, 100.0, -50.0)],
+            4: [(1.9, 0.0, 0.0), (5.1, 9.0, 9.0)],
+        }
+        database = _both_layouts(tracks)[layout]
+        arena = _assert_matches_snapshots(database, self.TIMESTAMPS)
+        assert set(arena.object_ids.tolist()) == {3, 4}
+
+    @pytest.mark.parametrize("layout", [0, 1])
+    def test_duplicate_times_across_and_within_objects(self, layout):
+        shared = [(2.0, 0.0, 0.0), (3.0, 10.0, 0.0), (4.5, 10.0, 10.0)]
+        tracks = {
+            1: shared,
+            2: [(t, x + 1.0, y) for t, x, y in shared],
+            3: [(2.0, 5.0, 5.0), (3.0, 6.0, 6.0), (3.0, 7.0, 7.0), (5.0, 0.0, 0.0)],
+        }
+        database = _both_layouts(tracks)[layout]
+        arena = _assert_matches_snapshots(database, self.TIMESTAMPS)
+        start, end = arena.snapshot_rows(self.TIMESTAMPS.index(3.0))
+        assert arena.object_ids[start:end].tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("layout", [0, 1])
+    @pytest.mark.parametrize("max_gap", [0.5, 1.0, 2.0])
+    def test_max_gap(self, layout, max_gap):
+        tracks = {
+            1: [(1.0, 0.0, 0.0), (2.5, 3.0, 0.0), (4.5, 3.0, 8.0)],
+            2: [(2.0, 0.0, 0.0), (3.0, 1.0, 1.0), (6.0, 4.0, 4.0)],
+        }
+        database = _both_layouts(tracks)[layout]
+        _assert_matches_snapshots(database, self.TIMESTAMPS, max_gap=max_gap)
+
+    @pytest.mark.parametrize("layout", [0, 1])
+    def test_long_history_walked_block_by_block(self, layout):
+        database = _both_layouts(
+            {
+                object_id: [
+                    (float(t), float(t * object_id), float(-t))
+                    for t in range(object_id, 60, object_id + 1)
+                ]
+                for object_id in range(1, 6)
+            }
+        )[layout]
+        timestamps = [t + 0.5 for t in range(-2, 62)]
+        for start in range(0, len(timestamps), 7):
+            block = timestamps[start : start + 7]
+            _assert_matches_snapshots(database, block)
+            _assert_matches_snapshots(database.subset_objects([4, 2, 99]), block)
+
+
 class TestFrameBackedCluster:
     def _batched(self):
         database = _random_database(seed=9)
