@@ -407,12 +407,18 @@ def neighbor_pairs_batched(
             within = np.einsum("ij,ij->i", diff, diff) <= eps_sq
             src_parts.append(src[within])
             dst_parts.append(dst[within])
+            del src, dst, diff, within
 
     if not src_parts:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
+    # Joining the pair lists is phase 1's memory peak: release the cell
+    # index first, and each list's parts before the next join.
+    del keys, order, sorted_keys, cell_of_point, point_ids, cells
     src = np.concatenate(src_parts)
+    del src_parts
     dst = np.concatenate(dst_parts)
+    del dst_parts
     if not include_self:
         keep = src != dst
         src, dst = src[keep], dst[keep]

@@ -21,20 +21,25 @@ import json
 import sqlite3
 import threading
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
+import numpy as np
+
+from ..clustering.snapshot import SnapshotCluster
 from ..core.codec import (
-    crowd_fingerprint,
+    PatternEncoding,
+    cluster_fragments,
+    crowd_encoding,
     decode_crowd,
     decode_gathering,
-    encode_crowd,
-    encode_gathering,
-    gathering_fingerprint,
+    gathering_encoding,
 )
 from ..core.config import GatheringParameters
 from ..core.crowd import Crowd
 from ..core.gathering import Gathering
+from ..engine.frame import FrameBackedCluster
 from .schema import SCHEMA_STATEMENTS, STORE_FORMAT, STORE_VERSION
 
 __all__ = ["PatternRecord", "PatternStore", "RowKey"]
@@ -89,15 +94,32 @@ class PatternRecord:
         }
 
 
-def _crowd_bbox(crowd: Crowd) -> BBox:
-    """Union bounding box of every cluster of a crowd."""
-    boxes = [cluster.mbr for cluster in crowd.clusters]
-    return (
-        min(box.min_x for box in boxes),
-        min(box.min_y for box in boxes),
-        max(box.max_x for box in boxes),
-        max(box.max_y for box in boxes),
-    )
+class _ClusterRow(NamedTuple):
+    """One cluster as a write sees it: both JSON fragments, bbox and member ids."""
+
+    canonical: str
+    payload: str
+    box: BBox
+    ids: np.ndarray
+
+
+def _cluster_row(cluster: SnapshotCluster) -> _ClusterRow:
+    """Encode a cluster and read its bbox and member ids from its frame columns.
+
+    Scalar clusters (decoded payloads, the python backend) fall back to
+    their member maps.
+    """
+    canonical, payload = cluster_fragments(cluster)
+    if isinstance(cluster, FrameBackedCluster):
+        frame, index = cluster.segment()
+        start, end = frame.segment(index)
+        box = tuple(frame.mbrs()[index].tolist())
+        ids = frame.object_ids[start:end]
+    else:
+        mbr = cluster.mbr
+        box = (mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y)
+        ids = np.fromiter(cluster.members, dtype=np.int64, count=len(cluster))
+    return _ClusterRow(canonical, payload, box, ids)
 
 
 class PatternStore:
@@ -121,7 +143,8 @@ class PatternStore:
 
     The store is safe to share across threads (the serving layer's HTTP
     handlers query it concurrently); writes are serialised by an internal
-    lock and committed per call.
+    lock, and each write call is one transaction, committed when it returns
+    and rolled back if it raises.
     """
 
     def __init__(
@@ -238,7 +261,10 @@ class PatternStore:
         answer — so a second writer with different parameters raises unless
         ``force`` is given.
         """
-        self._assert_writable()
+        self._insert((), (), params=params, force=force)
+
+    def _check_params(self, params: GatheringParameters, force: bool) -> None:
+        """Raise if the store already records different parameters (unless forced)."""
         existing = self.params()
         if existing is not None and existing != params and not force:
             raise ValueError(
@@ -246,13 +272,6 @@ class PatternStore:
                 f"refusing to mix in results mined with {params.as_dict()} "
                 "(pass force=True to overwrite)"
             )
-        with self._lock:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES ('params', ?)",
-                (json.dumps(params.as_dict()),),
-            )
-            self._conn.commit()
-            self._generation += 1
 
     def _assert_writable(self) -> None:
         """Raise on write attempts against a read-only handle."""
@@ -262,90 +281,25 @@ class PatternStore:
     # -- appends -----------------------------------------------------------------
     def add_crowds(self, crowds: Iterable[Crowd]) -> int:
         """Insert crowds (idempotent by fingerprint); return how many were new."""
-        self._assert_writable()
-        inserted = 0
-        with self._lock:
-            for crowd in crowds:
-                fingerprint = crowd_fingerprint(crowd)
-                bbox = _crowd_bbox(crowd)
-                cursor = self._conn.execute(
-                    "INSERT OR IGNORE INTO crowds (fingerprint, start_time, end_time,"
-                    " lifetime, min_x, min_y, max_x, max_y, payload)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        fingerprint,
-                        crowd.start_time,
-                        crowd.end_time,
-                        crowd.lifetime,
-                        bbox[0],
-                        bbox[1],
-                        bbox[2],
-                        bbox[3],
-                        json.dumps(encode_crowd(crowd)),
-                    ),
-                )
-                if cursor.rowcount == 0:
-                    continue
-                inserted += 1
-                crowd_id = cursor.lastrowid
-                self._conn.executemany(
-                    "INSERT INTO crowd_members (crowd_id, object_id, occurrences)"
-                    " VALUES (?, ?, ?)",
-                    [
-                        (crowd_id, object_id, count)
-                        for object_id, count in sorted(crowd.occurrences().items())
-                    ],
-                )
-            self._conn.commit()
-            if inserted:
-                self._generation += 1
-        return inserted
+        return self.add_patterns(crowds, ())["crowds"]
 
     def add_gatherings(self, gatherings: Iterable[Gathering]) -> int:
         """Insert gatherings (idempotent by fingerprint); return how many were new."""
-        self._assert_writable()
-        inserted = 0
-        with self._lock:
-            for gathering in gatherings:
-                fingerprint = gathering_fingerprint(gathering)
-                bbox = _crowd_bbox(gathering.crowd)
-                cursor = self._conn.execute(
-                    "INSERT OR IGNORE INTO gatherings (fingerprint, start_time,"
-                    " end_time, lifetime, min_x, min_y, max_x, max_y, payload)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        fingerprint,
-                        gathering.start_time,
-                        gathering.end_time,
-                        gathering.lifetime,
-                        bbox[0],
-                        bbox[1],
-                        bbox[2],
-                        bbox[3],
-                        json.dumps(encode_gathering(gathering)),
-                    ),
-                )
-                if cursor.rowcount == 0:
-                    continue
-                inserted += 1
-                gathering_id = cursor.lastrowid
-                self._conn.executemany(
-                    "INSERT INTO gathering_participators (gathering_id, object_id)"
-                    " VALUES (?, ?)",
-                    [(gathering_id, oid) for oid in sorted(gathering.participator_ids)],
-                )
-            self._conn.commit()
-            if inserted:
-                self._generation += 1
-        return inserted
+        return self.add_patterns((), gatherings)["gatherings"]
+
+    def add_patterns(
+        self, crowds: Iterable[Crowd], gatherings: Iterable[Gathering]
+    ) -> Dict[str, int]:
+        """Insert crowds and gatherings in one transaction; count the new ones.
+
+        A gathering over the same clusters as a crowd of the call reuses
+        their encoding.
+        """
+        return self._insert(crowds, gatherings)
 
     def write_result(self, result) -> Dict[str, int]:
         """Persist a :class:`~repro.core.pipeline.MiningResult` (params included)."""
-        self.set_params(result.params)
-        return {
-            "crowds": self.add_crowds(result.closed_crowds),
-            "gatherings": self.add_gatherings(result.gatherings),
-        }
+        return self._insert(result.closed_crowds, result.gatherings, params=result.params)
 
     def merge_from(self, other: Union["PatternStore", PathLike]) -> Dict[str, int]:
         """Fold another store's patterns into this one (idempotent).
@@ -358,17 +312,106 @@ class PatternStore:
         source = PatternStore(other, readonly=True) if opened_here else other
         try:
             params = source.params()
-            if params is not None:
-                self.set_params(params)
             crowds = [record.decode() for record in source.query_crowds()]
             gatherings = [record.decode() for record in source.query_gatherings()]
         finally:
             if opened_here:
                 source.close()
-        return {
-            "crowds": self.add_crowds(crowds),
-            "gatherings": self.add_gatherings(gatherings),
-        }
+        return self._insert(crowds, gatherings, params=params)
+
+    def _insert(
+        self,
+        crowds: Iterable[Crowd],
+        gatherings: Iterable[Gathering],
+        params: Optional[GatheringParameters] = None,
+        force: bool = False,
+    ) -> Dict[str, int]:
+        """The one write path: optional params, then crowds, then gatherings.
+
+        Everything lands in one transaction that rolls back if any pattern
+        fails, so a failed call leaves no row behind.  Each cluster is
+        encoded once per call (:func:`~repro.core.codec.cluster_fragments`)
+        and its bbox and member ids are read from its frame columns.
+        """
+        self._assert_writable()
+        # Keyed by identity (equality would materialise a frame-backed
+        # cluster's member map); holding the cluster keeps its id unique.
+        rows: Dict[int, Tuple[SnapshotCluster, _ClusterRow]] = {}
+
+        def row_of(cluster: SnapshotCluster) -> _ClusterRow:
+            found = rows.get(id(cluster))
+            if found is None:
+                found = rows[id(cluster)] = (cluster, _cluster_row(cluster))
+            return found[1]
+
+        inserted = {"crowds": 0, "gatherings": 0}
+        with self._lock:
+            with self._conn:
+                if params is not None:
+                    self._check_params(params, force)
+                    self._conn.execute(
+                        "INSERT OR REPLACE INTO meta (key, value) VALUES ('params', ?)",
+                        (json.dumps(params.as_dict()),),
+                    )
+                for crowd in crowds:
+                    clusters = [row_of(cluster) for cluster in crowd.clusters]
+                    encoded = crowd_encoding(crowd, row_of)
+                    crowd_id = self._insert_pattern("crowds", crowd, encoded, clusters)
+                    if crowd_id is None:
+                        continue
+                    inserted["crowds"] += 1
+                    ids, counts = np.unique(
+                        np.concatenate([row.ids for row in clusters]), return_counts=True
+                    )
+                    self._conn.executemany(
+                        "INSERT INTO crowd_members (crowd_id, object_id, occurrences)"
+                        " VALUES (?, ?, ?)",
+                        zip(repeat(crowd_id), ids.tolist(), counts.tolist()),
+                    )
+                for gathering in gatherings:
+                    clusters = [row_of(cluster) for cluster in gathering.crowd.clusters]
+                    encoded = gathering_encoding(gathering, row_of)
+                    gathering_id = self._insert_pattern(
+                        "gatherings", gathering, encoded, clusters
+                    )
+                    if gathering_id is None:
+                        continue
+                    inserted["gatherings"] += 1
+                    self._conn.executemany(
+                        "INSERT INTO gathering_participators (gathering_id, object_id)"
+                        " VALUES (?, ?)",
+                        zip(repeat(gathering_id), sorted(gathering.participator_ids)),
+                    )
+            if params is not None or any(inserted.values()):
+                self._generation += 1
+        return inserted
+
+    def _insert_pattern(
+        self,
+        table: str,
+        pattern: Union[Crowd, Gathering],
+        encoded: PatternEncoding,
+        clusters: List["_ClusterRow"],
+    ) -> Optional[int]:
+        """INSERT OR IGNORE one pattern row; its row id, or None if already stored."""
+        min_xs, min_ys, max_xs, max_ys = zip(*(row.box for row in clusters))
+        cursor = self._conn.execute(
+            f"INSERT OR IGNORE INTO {table} (fingerprint, start_time, end_time,"
+            " lifetime, min_x, min_y, max_x, max_y, payload)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (
+                encoded.fingerprint,
+                pattern.start_time,
+                pattern.end_time,
+                pattern.lifetime,
+                min(min_xs),
+                min(min_ys),
+                max(max_xs),
+                max(max_ys),
+                encoded.payload,
+            ),
+        )
+        return cursor.lastrowid if cursor.rowcount else None
 
     # -- counts ------------------------------------------------------------------
     def crowd_count(self) -> int:

@@ -504,8 +504,9 @@ class StreamingGatheringService:
                 self.stats.crowds_frozen += 1
                 self.stats.gatherings_frozen += len(found)
             if self._store is not None and flushed_crowds:
-                self._store.add_crowds(flushed_crowds)
-                self._store.add_gatherings(dedupe_gatherings(flushed_gatherings))
+                self._store.add_patterns(
+                    flushed_crowds, dedupe_gatherings(flushed_gatherings)
+                )
 
         retained = self.retained_cluster_count()
         if retained > self.stats.peak_retained_clusters:
@@ -587,8 +588,7 @@ class StreamingGatheringService:
             # Land the frontier state too: after finish() the store holds
             # the stream's complete answer (evictions already flushed are
             # deduplicated by fingerprint).
-            self._store.add_crowds(result.closed_crowds)
-            self._store.add_gatherings(result.gatherings)
+            self._store.add_patterns(result.closed_crowds, result.gatherings)
         return result
 
     # -- answers ----------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import GatheringParameters
 from repro.core.pipeline import GatheringMiner
+from repro.core.gathering import dedupe_gatherings
 from repro.datagen.scenarios import arrival_stream, streaming_scenario
 from repro.store import PatternStore
 from repro.stream import ReplayDriver, StreamingGatheringService
@@ -71,3 +72,47 @@ def test_resink_is_idempotent(scenario, tmp_path):
     counts = (store.crowd_count(), store.gathering_count())
     replay_with_store(scenario, store)  # a second, identical replay
     assert (store.crowd_count(), store.gathering_count()) == counts
+
+
+class SpyStore(PatternStore):
+    """A store that records which write method the service called, and with what."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.calls = []
+
+    def add_patterns(self, crowds, gatherings):
+        crowds, gatherings = list(crowds), list(gatherings)
+        self.calls.append((crowds, gatherings))
+        return super().add_patterns(crowds, gatherings)
+
+    def add_crowds(self, crowds):
+        raise AssertionError("the service must write crowds and gatherings together")
+
+    add_gatherings = add_crowds
+
+
+def test_each_flush_is_one_write_of_crowds_and_gatherings(scenario, tmp_path):
+    store = SpyStore(tmp_path / "spy.db")
+    spied = StreamingGatheringService(PARAMS, window=10, store=store)
+    plain = StreamingGatheringService(PARAMS, window=10)
+    for point in arrival_stream(scenario.database):
+        spied.ingest(point)
+        plain.ingest(point)
+    flushes = list(store.calls)
+    assert flushes and all(crowds for crowds, _ in flushes)
+    assert [crowd for crowds, _ in flushes for crowd in crowds] == spied._frozen_crowds
+    for _, gatherings in flushes:
+        assert gatherings == dedupe_gatherings(gatherings)
+    assert {g.keys() for _, gatherings in flushes for g in gatherings} == {
+        g.keys() for g in spied._frozen_gatherings
+    }
+    result = spied.finish()
+    assert len(store.calls) == len(flushes) + 1
+    assert store.calls[-1] == (result.closed_crowds, result.gatherings)
+
+    def counts(stats):
+        return {k: v for k, v in stats.as_dict().items() if not k.endswith("_seconds")}
+
+    plain.finish()
+    assert counts(spied.stats) == counts(plain.stats)
