@@ -1,4 +1,4 @@
-"""Pattern comparison: gatherings vs flocks, convoys, swarms, moving clusters.
+"""Pattern comparison: gatherings and crowds vs convoys and swarms.
 
 Run with::
 
@@ -10,23 +10,16 @@ data.  Two group behaviours are simulated:
 * a *durable congregation* whose membership rotates (vehicles keep arriving
   and leaving, but each one stays a while) — the signature of a gathering;
 * a *platoon* that keeps the same members and travels across town — the
-  signature of a flock / convoy / swarm.
+  signature of a convoy / swarm.
 
-Each pattern family is then mined and the script reports which behaviours
-each one can and cannot capture.
+Each pattern family ``repro compare`` reports is then mined, and the script
+says which behaviours each one can and cannot capture.
 """
 
 from __future__ import annotations
 
 from repro import GatheringMiner, GatheringParameters
-from repro.baselines import (
-    groups_from_clusters,
-    mine_convoys,
-    mine_flocks,
-    mine_moving_clusters,
-    mine_swarms,
-    positions_by_time,
-)
+from repro.baselines import groups_from_clusters, mine_convoys, mine_swarms
 from repro.datagen import (
     GatheringEvent,
     SimulationConfig,
@@ -60,19 +53,13 @@ def main() -> None:
     groups = groups_from_clusters(cluster_db)
     swarms = mine_swarms(groups, min_objects=8, min_duration=8)
     convoys = mine_convoys(groups, min_objects=8, min_duration=8)
-    moving = mine_moving_clusters(groups, theta=0.5, min_duration=8, min_objects=6)
-
-    timestamps, snapshots = positions_by_time(database, time_step=1.0)
-    flocks = mine_flocks(snapshots, radius=150.0, min_objects=8, min_duration=8)
 
     print("pattern family      count  captures")
     print("-" * 60)
     print(f"closed gatherings   {mined.gathering_count():>5}  the rotating congregation (traffic jam)")
     print(f"closed crowds       {mined.crowd_count():>5}  every durable dense area")
-    print(f"flocks              {len(flocks):>5}  the fixed-membership platoon (disc-shaped)")
     print(f"convoys             {len(convoys):>5}  the fixed-membership platoon (any shape)")
     print(f"closed swarms       {len(swarms):>5}  the platoon, gaps in time allowed")
-    print(f"moving clusters     {len(moving):>5}  chains with high consecutive overlap")
 
     platoon_ids = set(range(congregation.participants, congregation.participants + platoon.size))
     convoy_from_platoon = any(c.members <= platoon_ids or platoon_ids <= c.members for c in convoys)

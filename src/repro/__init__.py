@@ -4,9 +4,9 @@ The package reimplements, in pure Python, the full framework of Zheng, Zheng,
 Yuan & Shang (ICDE 2013): snapshot clustering of trajectories, closed-crowd
 discovery with R-tree / grid-index pruning, closed-gathering detection with
 the Test-and-Divide algorithm and bit-vector signatures, and incremental
-maintenance under new data arrivals — plus the baseline patterns (flock,
-convoy, swarm, moving cluster) and a synthetic taxi-fleet generator standing
-in for the proprietary Beijing T-Drive dataset.
+maintenance under new data arrivals — plus the baseline patterns (convoy,
+swarm) and a synthetic taxi-fleet generator standing in for the proprietary
+Beijing T-Drive dataset.
 
 Typical use::
 

@@ -1,21 +1,14 @@
 """Baseline group-pattern miners the paper compares against."""
 
-from .common import SnapshotGroups, groups_from_clusters, positions_by_time
-from .flock import Flock, mine_flocks
+from .common import SnapshotGroups, groups_from_clusters
 from .convoy import Convoy, mine_convoys
 from .swarm import Swarm, mine_swarms
-from .moving_cluster import MovingCluster, mine_moving_clusters
 
 __all__ = [
     "SnapshotGroups",
     "groups_from_clusters",
-    "positions_by_time",
-    "Flock",
-    "mine_flocks",
     "Convoy",
     "mine_convoys",
     "Swarm",
     "mine_swarms",
-    "MovingCluster",
-    "mine_moving_clusters",
 ]

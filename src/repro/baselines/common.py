@@ -1,21 +1,18 @@
 """Shared helpers for the baseline group-pattern miners.
 
-All baselines (flock, convoy, swarm, moving cluster) reason about which
-objects are grouped together at each timestamp.  The helpers here produce
-that view either from a pre-built snapshot-cluster database or directly from
-a trajectory database.
+The baselines (convoy, swarm) reason about which objects are grouped
+together at each timestamp.  The helpers here produce that view from a
+pre-built snapshot-cluster database.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List
 
 from ..clustering.snapshot import ClusterDatabase
-from ..geometry.point import Point
-from ..trajectory.trajectory import TrajectoryDatabase
 
-__all__ = ["SnapshotGroups", "groups_from_clusters", "positions_by_time"]
+__all__ = ["SnapshotGroups", "groups_from_clusters"]
 
 
 @dataclass
@@ -54,14 +51,3 @@ def groups_from_clusters(cluster_db: ClusterDatabase) -> SnapshotGroups:
     ]
     return SnapshotGroups(timestamps=timestamps, groups=groups)
 
-
-def positions_by_time(
-    database: TrajectoryDatabase,
-    timestamps: Optional[Sequence[float]] = None,
-    time_step: float = 1.0,
-) -> Tuple[List[float], List[Dict[int, Point]]]:
-    """Object positions at each timestamp (interpolated where needed)."""
-    if timestamps is None:
-        timestamps = database.timestamps(step=time_step)
-    snapshots = [database.snapshot(t) for t in timestamps]
-    return list(timestamps), snapshots

@@ -43,7 +43,7 @@ timings to a machine-readable ``BENCH_<n>.json`` (see docs/performance.md);
 with ``--baseline`` it also diffs the run against a committed prior entry
 and exits nonzero when a phase regressed past ``--regress-tolerance``;
 ``loadtest`` replays a seeded mixed query workload against a live pattern
-server (async or threaded) with N concurrent clients and records
+server with N concurrent clients and records
 p50/p95/p99 latency, throughput and error rate in the same JSON schema
 (mergeable into the BENCH trajectory, gateable with ``--baseline``).
 """
@@ -495,17 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument("--host", default="127.0.0.1", help="bind address for --serve")
     serving.add_argument("--port", type=int, default=8080, help="bind port for --serve")
     serving.add_argument(
-        "--server-impl",
-        choices=("async", "threaded"),
-        default="async",
-        help="HTTP front end: asyncio + read-connection pool (async) or the "
-        "threaded stdlib parity oracle (threaded)",
-    )
-    serving.add_argument(
         "--pool-size",
         type=int,
         default=4,
-        help="read connections in the async server's pool",
+        help="read connections in the server's pool",
     )
     serving.add_argument(
         "--cache-size", type=int, default=256, help="LRU query-result cache capacity"
@@ -514,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--request-timeout",
         type=float,
         default=30.0,
-        help="per-request wall-clock bound (seconds) on the async server; "
+        help="per-request wall-clock bound (seconds) on the server; "
         "a request past it answers 503 (0 disables)",
     )
     serving.add_argument(
@@ -522,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="load-shedding cap on concurrently executing requests on the "
-        "async server; beyond it requests answer 503 with Retry-After",
+        "server; beyond it requests answer 503 with Retry-After",
     )
     _add_fault_plan_argument(query)
 
@@ -551,14 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     server = loadtest.add_argument_group("server under test")
     server.add_argument(
-        "--impl",
-        action="append",
-        dest="impls",
-        choices=("async", "threaded"),
-        help="server implementation to measure (repeatable; default: both)",
-    )
-    server.add_argument(
-        "--pool-size", type=int, default=4, help="read connections in the async pool"
+        "--pool-size", type=int, default=4, help="read connections in the server's pool"
     )
     server.add_argument(
         "--cache-size", type=int, default=256, help="LRU query-result cache capacity"
@@ -566,15 +552,15 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument(
         "--request-timeout",
         type=float,
-        default=None,
-        help="per-request wall-clock bound (seconds) on the async server "
-        "under test (timed-out requests answer 503)",
+        default=30.0,
+        help="per-request wall-clock bound (seconds) on the server under "
+        "test; a request past it answers 503 (0 disables)",
     )
     server.add_argument(
         "--max-in-flight",
         type=int,
         default=None,
-        help="load-shedding cap on the async server under test "
+        help="load-shedding cap on the server under test "
         "(shed requests answer 503 with Retry-After)",
     )
     _add_fault_plan_argument(loadtest)
@@ -923,14 +909,17 @@ def _command_stream(args: argparse.Namespace) -> int:
     return 0
 
 
+def _request_timeout(args: argparse.Namespace) -> Optional[float]:
+    """The server's per-request bound from ``--request-timeout`` (0 disables it)."""
+    if args.request_timeout < 0:
+        raise ValueError(
+            f"--request-timeout must be >= 0 (0 disables), got {args.request_timeout}"
+        )
+    return args.request_timeout or None
+
+
 def _command_query(args: argparse.Namespace) -> int:
-    from .serve import (
-        PatternApp,
-        ReadConnectionPool,
-        SingleStorePool,
-        run_async_server,
-        serve_forever,
-    )
+    from .serve import PatternApp, ReadConnectionPool, SingleStorePool, run_async_server
     from .store import PatternStore
 
     if args.serve:
@@ -951,24 +940,22 @@ def _command_query(args: argparse.Namespace) -> int:
                 f"{', '.join(conflicting)} would be silently ignored — drop them "
                 "(filters go in the request URL, e.g. /gatherings?min_lifetime=10)"
             )
+        request_timeout = _request_timeout(args)
         pool = ReadConnectionPool(args.store, size=args.pool_size)
         app = PatternApp(pool, cache_size=args.cache_size)
         print(
             f"serving {args.store} on http://{args.host}:{args.port} "
-            f"({args.server_impl}, pool={pool.size})"
+            f"(pool={pool.size})"
         )
         print("routes: /gatherings /crowds /stats /healthz  (Ctrl-C to stop)")
         try:
-            if args.server_impl == "async":
-                run_async_server(
-                    app,
-                    host=args.host,
-                    port=args.port,
-                    request_timeout=args.request_timeout or None,
-                    max_in_flight=args.max_in_flight,
-                )
-            else:
-                serve_forever(app, host=args.host, port=args.port)
+            run_async_server(
+                app,
+                host=args.host,
+                port=args.port,
+                request_timeout=request_timeout,
+                max_in_flight=args.max_in_flight,
+            )
         finally:
             pool.close()
         return 0
@@ -1170,6 +1157,7 @@ def _command_loadtest(args: argparse.Namespace) -> int:
         write_bench_json,
     )
     from .loadtest import (
+        SERVER_ROW,
         WorkloadConfig,
         loadtest_payload,
         merge_payloads,
@@ -1177,6 +1165,7 @@ def _command_loadtest(args: argparse.Namespace) -> int:
     )
     from .store import PatternStore
 
+    request_timeout = _request_timeout(args)
     config = WorkloadConfig.quick(seed=args.seed) if args.quick else WorkloadConfig(seed=args.seed)
     if args.requests is not None:
         config = WorkloadConfig(
@@ -1204,28 +1193,23 @@ def _command_loadtest(args: argparse.Namespace) -> int:
             f"{config.clients} clients, seed {config.seed}"
         )
 
-        impls = args.impls or ["async", "threaded"]
-        reports = []
-        for impl in impls:
-            report = run_loadtest(
-                store_path,
-                config,
-                impl=impl,
-                pool_size=args.pool_size,
-                cache_size=args.cache_size,
-                request_timeout=args.request_timeout,
-                max_in_flight=args.max_in_flight,
-            )
-            reports.append(report)
-            print(
-                f"  {impl:<9} p50 {report.latency.p50_seconds * 1000:7.2f}ms  "
-                f"p95 {report.latency.p95_seconds * 1000:7.2f}ms  "
-                f"p99 {report.latency.p99_seconds * 1000:7.2f}ms  "
-                f"{report.throughput_rps:8.0f} req/s  "
-                f"errors {report.errors}/{report.latency.count}"
-            )
+        report = run_loadtest(
+            store_path,
+            config,
+            pool_size=args.pool_size,
+            cache_size=args.cache_size,
+            request_timeout=request_timeout,
+            max_in_flight=args.max_in_flight,
+        )
+        print(
+            f"  {SERVER_ROW:<9} p50 {report.latency.p50_seconds * 1000:7.2f}ms  "
+            f"p95 {report.latency.p95_seconds * 1000:7.2f}ms  "
+            f"p99 {report.latency.p99_seconds * 1000:7.2f}ms  "
+            f"{report.throughput_rps:8.0f} req/s  "
+            f"errors {report.errors}/{report.latency.count}"
+        )
 
-    payload = loadtest_payload(reports, quick=args.quick, store_summary=summary)
+    payload = loadtest_payload(report, quick=args.quick, store_summary=summary)
     if args.output:
         write_bench_json(payload, args.output)
         print(f"wrote {args.output}")

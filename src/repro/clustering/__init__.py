@@ -1,4 +1,4 @@
-"""Density-based clustering substrate: DBSCAN, snapshot clusters, CuTS filter."""
+"""Density-based clustering substrate: DBSCAN and snapshot clusters."""
 
 from .dbscan import NOISE, dbscan
 from .snapshot import (
@@ -6,12 +6,6 @@ from .snapshot import (
     SnapshotCluster,
     build_cluster_database,
     cluster_snapshot,
-)
-from .segments import (
-    Segment,
-    candidate_objects,
-    segment_distance,
-    simplify_trajectory_segments,
 )
 
 __all__ = [
@@ -21,8 +15,4 @@ __all__ = [
     "SnapshotCluster",
     "build_cluster_database",
     "cluster_snapshot",
-    "Segment",
-    "candidate_objects",
-    "segment_distance",
-    "simplify_trajectory_segments",
 ]

@@ -55,7 +55,6 @@ from .frame import FrameBackedCluster, SnapshotFrame
 
 __all__ = [
     "DEFAULT_SNAPSHOT_BLOCK",
-    "frames_from_arena",
     "frames_from_columns",
     "extend_cluster_database",
     "build_cluster_database_batched",
@@ -85,19 +84,6 @@ def _clustered_columns(arena: PositionArena, labels: np.ndarray) -> _Columns:
     labels = labels[keep]
     order = np.lexsort((object_ids, labels, ts))
     return ts[order], object_ids[order], coords[order], labels[order]
-
-
-def frames_from_arena(
-    arena: PositionArena, labels: np.ndarray
-) -> Dict[int, SnapshotFrame]:
-    """Build one columnar frame per non-empty snapshot of a labelled arena.
-
-    ``labels`` assigns every arena row its per-snapshot DBSCAN label (noise
-    ``< 0``); see ``_clustered_columns`` for the row order and
-    :func:`frames_from_columns` for the frames.  Returns frames keyed by
-    position in ``arena.timestamps``.
-    """
-    return frames_from_columns(arena.timestamps, *_clustered_columns(arena, labels))
 
 
 def _cluster_block(job: _BlockJob) -> _Columns:

@@ -1,38 +1,20 @@
-"""Geometric primitives: points, rectangles, Hausdorff distance, simplification."""
+"""Geometric primitives: points, rectangles, Hausdorff distance, interpolation."""
 
-from .point import (
-    Point,
-    array_to_points,
-    bounding_coordinates,
-    centroid,
-    euclidean,
-    points_to_array,
-    squared_euclidean,
-)
+from .point import Point, centroid, points_to_array
 from .mbr import MBR, mbr_of_points, min_distance_rects, side_distance
-from .hausdorff import directed_hausdorff, hausdorff, hausdorff_naive, hausdorff_within
-from .simplify import douglas_peucker, perpendicular_distance, simplify_indices
-from .interpolation import interpolate_position, resample_track
+from .hausdorff import hausdorff, hausdorff_naive, hausdorff_within
+from .interpolation import interpolate_position
 
 __all__ = [
     "Point",
-    "array_to_points",
-    "bounding_coordinates",
     "centroid",
-    "euclidean",
     "points_to_array",
-    "squared_euclidean",
     "MBR",
     "mbr_of_points",
     "min_distance_rects",
     "side_distance",
-    "directed_hausdorff",
     "hausdorff",
     "hausdorff_naive",
     "hausdorff_within",
-    "douglas_peucker",
-    "perpendicular_distance",
-    "simplify_indices",
     "interpolate_position",
-    "resample_track",
 ]

@@ -24,7 +24,6 @@ from ..engine.kernels import directed_within as _directed_within_kernel
 from .point import Point, points_to_array
 
 __all__ = [
-    "directed_hausdorff",
     "hausdorff",
     "hausdorff_naive",
     "hausdorff_within",
@@ -41,17 +40,6 @@ def _as_array(points) -> np.ndarray:
     if pts and isinstance(pts[0], Point):
         return points_to_array(pts)
     return np.asarray(pts, dtype=float).reshape(-1, 2)
-
-
-def directed_hausdorff(p, q) -> float:
-    """Directed Hausdorff distance ``h(P, Q) = max_{p in P} min_{q in Q} d(p, q)``."""
-    parr = _as_array(p)
-    qarr = _as_array(q)
-    if parr.size == 0 or qarr.size == 0:
-        raise ValueError("Hausdorff distance of an empty point set is undefined")
-    diffs = parr[:, None, :] - qarr[None, :, :]
-    dists = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
-    return float(dists.min(axis=1).max())
 
 
 def hausdorff(p, q) -> float:

@@ -8,11 +8,11 @@ a required time instant (Section II).  These helpers implement that model.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .point import Point
 
-__all__ = ["interpolate_position", "resample_track"]
+__all__ = ["interpolate_position"]
 
 TimedPoint = Tuple[float, Point]
 
@@ -56,15 +56,3 @@ def interpolate_position(
     ratio = (t - t0) / (t1 - t0)
     return Point(p0.x + ratio * (p1.x - p0.x), p0.y + ratio * (p1.y - p0.y))
 
-
-def resample_track(
-    samples: Sequence[TimedPoint],
-    timestamps: Sequence[float],
-    max_gap: Optional[float] = None,
-) -> List[Tuple[float, Optional[Point]]]:
-    """Resample a trajectory at the given timestamps.
-
-    Returns a list of ``(t, point_or_None)`` so the caller can distinguish
-    "observed/interpolated" from "unobserved".
-    """
-    return [(t, interpolate_position(samples, t, max_gap=max_gap)) for t in timestamps]

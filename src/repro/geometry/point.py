@@ -16,12 +16,8 @@ import numpy as np
 
 __all__ = [
     "Point",
-    "euclidean",
-    "squared_euclidean",
     "points_to_array",
-    "array_to_points",
     "centroid",
-    "bounding_coordinates",
 ]
 
 
@@ -62,29 +58,12 @@ class Point:
         yield self.y
 
 
-def euclidean(p: Sequence[float], q: Sequence[float]) -> float:
-    """Euclidean distance between two ``(x, y)`` sequences."""
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
-def squared_euclidean(p: Sequence[float], q: Sequence[float]) -> float:
-    """Squared Euclidean distance between two ``(x, y)`` sequences."""
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    return dx * dx + dy * dy
-
-
 def points_to_array(points: Iterable[Point]) -> np.ndarray:
     """Convert an iterable of :class:`Point` to an ``(n, 2)`` float array."""
     pts = list(points)
     if not pts:
         return np.empty((0, 2), dtype=float)
     return np.array([(p.x, p.y) for p in pts], dtype=float)
-
-
-def array_to_points(array: np.ndarray) -> list:
-    """Convert an ``(n, 2)`` array back to a list of :class:`Point`."""
-    return [Point(float(x), float(y)) for x, y in np.asarray(array, dtype=float)]
 
 
 def centroid(points: Sequence[Point]) -> Point:
@@ -95,12 +74,3 @@ def centroid(points: Sequence[Point]) -> Point:
     sy = sum(p.y for p in points)
     n = len(points)
     return Point(sx / n, sy / n)
-
-
-def bounding_coordinates(points: Sequence[Point]) -> Tuple[float, float, float, float]:
-    """Return ``(min_x, min_y, max_x, max_y)`` of a non-empty point sequence."""
-    if not points:
-        raise ValueError("bounding box of an empty point set is undefined")
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    return (min(xs), min(ys), max(xs), max(ys))

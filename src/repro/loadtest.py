@@ -7,7 +7,7 @@ clients, and summarises what the clients saw: p50/p95/p99 latency,
 throughput and error rate.
 
 The report is emitted in the same JSON schema as ``repro bench``
-(one ``serving`` scenario with one entry per server implementation), so
+(one ``serving`` scenario whose one row measures the async server), so
 serving performance lands in the committed ``BENCH_<n>.json`` trajectory
 and regresses loudly through the existing ``--baseline`` diff machinery —
 exactly the treatment mining performance already gets.
@@ -28,13 +28,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .serve.app import PatternApp
-from .serve.async_http import running_server
-from .serve.http import make_server
+from .serve.async_http import DEFAULT_REQUEST_TIMEOUT, running_server
 from .serve.pool import ReadConnectionPool, SingleStorePool
 from .store.pattern_store import PatternStore
 
 __all__ = [
-    "SERVER_IMPLS",
     "LatencySummary",
     "LoadtestReport",
     "StoreProfile",
@@ -45,8 +43,9 @@ __all__ = [
     "run_loadtest",
 ]
 
-#: The server implementations the harness can drive.
-SERVER_IMPLS = ("async", "threaded")
+#: Row name of the measured server in the bench-schema payload; the
+#: committed BENCH_<n>.json files key their serving rows by it.
+SERVER_ROW = "async"
 
 #: Default request-mix weights (normalised at generation time).
 DEFAULT_MIX: Mapping[str, float] = {
@@ -129,7 +128,7 @@ def generate_requests(config: WorkloadConfig, profile: StoreProfile) -> List[str
 
     A pure function of ``(config, profile)``: the same seed, mix and store
     profile always produce the identical list of request targets, so two
-    loadtest runs (or two server implementations) replay the same traffic.
+    loadtest runs replay the same traffic.
     """
     rng = random.Random(config.seed)
     kinds = [kind for kind, weight in config.mix if weight > 0]
@@ -211,9 +210,8 @@ class LatencySummary:
 
 @dataclass
 class LoadtestReport:
-    """What one loadtest run measured against one server implementation."""
+    """What one loadtest run measured against the server."""
 
-    impl: str
     config: WorkloadConfig
     latency: LatencySummary
     wall_seconds: float
@@ -233,9 +231,9 @@ class LoadtestReport:
         return self.errors / self.latency.count if self.latency.count else 0.0
 
     def as_dict(self) -> Dict[str, Any]:
-        """The per-implementation row of the bench-schema payload."""
+        """The server's row of the bench-schema payload."""
         return {
-            "backend": self.impl,
+            "backend": SERVER_ROW,
             "p50_seconds": round(self.latency.p50_seconds, 6),
             "p95_seconds": round(self.latency.p95_seconds, 6),
             "p99_seconds": round(self.latency.p99_seconds, 6),
@@ -306,28 +304,25 @@ def _replay(host: str, port: int, config: WorkloadConfig, targets: Sequence[str]
 def run_loadtest(
     store_path: str,
     config: WorkloadConfig,
-    impl: str = "async",
     pool_size: int = 4,
     cache_size: int = 256,
     store: Optional[PatternStore] = None,
-    request_timeout: Optional[float] = None,
+    request_timeout: Optional[float] = DEFAULT_REQUEST_TIMEOUT,
     max_in_flight: Optional[int] = None,
 ) -> LoadtestReport:
-    """Stand up one server implementation around a store and measure it.
+    """Stand up the async server around a store and measure it.
 
     ``store_path`` names a file-backed store (served through a
     :class:`~repro.serve.pool.ReadConnectionPool`); passing an open
     ``store`` handle instead serves it through a single-connection pool
     (in-memory stores in tests).
 
-    ``request_timeout`` and ``max_in_flight`` configure the async server's
-    per-request bound and load-shedding cap (see
-    :class:`~repro.serve.async_http.AsyncPatternServer`); the threaded
-    implementation ignores them.  Shed and timed-out requests come back
-    ``503`` and land in the report's status histogram.
+    ``request_timeout`` (``None`` disables it) and ``max_in_flight``
+    configure the server's per-request bound and load-shedding cap (see
+    :class:`~repro.serve.async_http.AsyncPatternServer`).  Shed and
+    timed-out requests come back ``503`` and land in the report's status
+    histogram.
     """
-    if impl not in SERVER_IMPLS:
-        raise ValueError(f"unknown server impl {impl!r}; choose from {SERVER_IMPLS}")
     if store is not None:
         pool = SingleStorePool(store)
     else:
@@ -337,23 +332,10 @@ def run_loadtest(
             profile = StoreProfile.from_store(handle)
         targets = generate_requests(config, profile)
         app = PatternApp(pool, cache_size=cache_size)
-        if impl == "async":
-            server_kwargs: Dict[str, Any] = {"max_in_flight": max_in_flight}
-            if request_timeout is not None:
-                server_kwargs["request_timeout"] = request_timeout
-            with running_server(app, **server_kwargs) as (host, port):
-                samples, statuses, wall = _replay(host, port, config, targets)
-        else:
-            server = make_server(app)
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
-            try:
-                host, port = server.server_address[0], server.server_address[1]
-                samples, statuses, wall = _replay(host, port, config, targets)
-            finally:
-                server.shutdown()
-                server.server_close()
-                thread.join(timeout=10)
+        with running_server(
+            app, request_timeout=request_timeout, max_in_flight=max_in_flight
+        ) as (host, port):
+            samples, statuses, wall = _replay(host, port, config, targets)
     finally:
         pool.close()
     counts: Dict[int, int] = {}
@@ -361,7 +343,6 @@ def run_loadtest(
         counts[status] = counts.get(status, 0) + 1
     errors = sum(1 for status in statuses if status != 200)
     return LoadtestReport(
-        impl=impl,
         config=config,
         latency=LatencySummary.from_samples(samples),
         wall_seconds=wall,
@@ -377,16 +358,16 @@ SERVING_SCENARIO = "serving"
 
 
 def loadtest_payload(
-    reports: Sequence[LoadtestReport],
+    report: LoadtestReport,
     quick: bool,
     store_summary: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Assemble loadtest reports as a bench-schema JSON payload.
+    """Assemble a loadtest report as a bench-schema JSON payload.
 
     The document shape matches :func:`repro.bench.run_bench` — one
-    ``serving`` scenario whose ``backends`` list holds one row per server
-    implementation — so ``diff_against_baseline`` gates serving latency
-    and error rate exactly like mining phase timings.
+    ``serving`` scenario whose ``backends`` list holds the server's row —
+    so ``diff_against_baseline`` gates serving latency and error rate
+    exactly like mining phase timings.
     """
     from .bench import BENCH_SCHEMA_VERSION, environment_info
 
@@ -398,8 +379,8 @@ def loadtest_payload(
         "quick": quick,
         "store_crowds": store_summary.get("crowds"),
         "store_gatherings": store_summary.get("gatherings"),
-        "workload": reports[0].config.as_dict() if reports else None,
-        "backends": [report.as_dict() for report in reports],
+        "workload": report.config.as_dict(),
+        "backends": [report.as_dict()],
     }
     return {
         "schema_version": BENCH_SCHEMA_VERSION,

@@ -9,18 +9,16 @@ The read path of the system, layered for concurrency:
   core: filtered queries, cursor pagination, ETag/If-None-Match, and a
   generation-keyed result cache; one-shot ``repro query`` answers through
   it too;
-* :class:`~repro.serve.async_http.AsyncPatternServer` — the asyncio HTTP
-  front end (``repro query --serve``);
-* :func:`~repro.serve.http.make_server` — the threaded stdlib front end,
-  kept as the parity oracle (``--server-impl threaded``).
+* :class:`~repro.serve.async_http.AsyncPatternServer` — the HTTP front end
+  (``repro query --serve``); :func:`~repro.serve.async_http.running_server`
+  runs it on a background thread for the duration of a ``with`` block.
 
 Load-test the tier with ``repro loadtest`` (see :mod:`repro.loadtest`).
 """
 
 from .app import PatternApp, Response, decode_cursor, encode_cursor
 from .async_http import AsyncPatternServer, run_async_server, running_server
-from .http import make_server, serve_forever
-from .pool import ReadConnectionPool, SingleStorePool, open_read_pool
+from .pool import ReadConnectionPool, SingleStorePool
 
 __all__ = [
     "AsyncPatternServer",
@@ -30,9 +28,6 @@ __all__ = [
     "SingleStorePool",
     "decode_cursor",
     "encode_cursor",
-    "make_server",
-    "open_read_pool",
     "run_async_server",
     "running_server",
-    "serve_forever",
 ]

@@ -1,10 +1,10 @@
 """Transport-agnostic serving application over a pattern-store pool.
 
-:class:`PatternApp` is the single request-handling core both HTTP front
-ends share — the asyncio server (:mod:`repro.serve.async_http`) and the
-threaded parity oracle (:mod:`repro.serve.http`).  One code path means the
-two implementations return byte-identical JSON for the same request, which
-is exactly what the concurrency parity suite asserts.
+:class:`PatternApp` is the single request-handling core: the asyncio HTTP
+server (:mod:`repro.serve.async_http`) and one-shot ``repro query`` both
+answer through it.  Called in-process it is also the oracle of the
+concurrency parity suite, which asserts that the server returns
+byte-identical JSON for the same request.
 
 Semantics:
 
@@ -177,7 +177,7 @@ class PatternApp:
         created when omitted.
 
     The app is thread-safe: the asyncio server calls :meth:`handle_request`
-    from executor workers, the threaded server from handler threads.
+    from its executor workers.
     """
 
     def __init__(

@@ -21,9 +21,9 @@ The transport is also where overload and stuck-query protection live:
   the app's :class:`~repro.resilience.counters.ResilienceCounters` and
   surfaced on ``/stats``.
 
-Every request is answered by the same :class:`~repro.serve.app.PatternApp`
-the threaded oracle uses, so the two transports are byte-identical at the
-body level (see ``tests/serve/test_async_parity.py``).
+Every request is answered by a :class:`~repro.serve.app.PatternApp`, so
+a response body is byte-identical to the app's in-process answer (see
+``tests/serve/test_async_parity.py``).
 """
 
 from __future__ import annotations

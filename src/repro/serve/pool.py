@@ -15,8 +15,8 @@ manager, ``read()``, ``generation``, ``summary()``, ``stats()``,
   store, plus one dedicated metadata handle so ``generation`` / ``summary``
   probes never queue behind long queries;
 * :class:`SingleStorePool` — wraps one caller-owned (possibly in-memory)
-  store; the store's internal lock serialises access.  This is the shape
-  the threaded parity oracle and in-process tests use.
+  store; the store's internal lock serialises access.  One-shot
+  ``repro query`` and in-process callers use this shape.
 
 ``read()`` is the resilient entry point the request app uses: it runs a
 caller-supplied query function against an acquired handle and retries with
@@ -43,7 +43,6 @@ __all__ = [
     "ReadConnectionPool",
     "SingleStorePool",
     "is_locked_error",
-    "open_read_pool",
 ]
 
 PathLike = Union[str, Path]
@@ -257,7 +256,3 @@ class SingleStorePool:
     def close(self) -> None:
         """No-op: the caller owns the wrapped store."""
 
-
-def open_read_pool(path: PathLike, size: int = 4) -> ReadConnectionPool:
-    """Open a :class:`ReadConnectionPool` over an existing store file."""
-    return ReadConnectionPool(path, size=size)

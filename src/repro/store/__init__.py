@@ -3,8 +3,8 @@
 The paper's deliverable is a *database of gatherings* users can query after
 the fact.  This package provides it: a versioned, SQLite-backed
 :class:`PatternStore` with spatial/temporal/per-object indexes and
-fingerprint-deduplicated append/merge semantics, so one-shot runs, shard
-outputs and streaming evictions all land — exactly once — in one database.
+fingerprint-deduplicated append semantics, so one-shot runs, pooled
+runs and streaming evictions all land — exactly once — in one database.
 Read it back through :mod:`repro.serve`.
 """
 

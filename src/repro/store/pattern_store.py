@@ -8,8 +8,8 @@ with spatial, temporal and per-object indexes (see
 :mod:`repro.store.schema`).  Inserts are keyed by content fingerprint
 (:func:`repro.core.codec.crowd_fingerprint` /
 :func:`~repro.core.codec.gathering_fingerprint`), so appending the same
-pattern twice — a shard boundary re-derivation, an at-least-once eviction
-flush, a merge of two stores — is idempotent.
+pattern twice — a re-run of the same job, an at-least-once eviction flush —
+is idempotent.
 
 The store is the single source of truth the serving layer
 (:class:`repro.serve.PatternApp`) reads from.
@@ -131,8 +131,8 @@ class PatternStore:
         Database file (created if missing).  ``":memory:"`` gives an
         in-process store, handy in tests.
     readonly:
-        Open an existing store without write access; creation, appends and
-        merges then raise.
+        Open an existing store without write access; creation and appends
+        then raise.
     busy_timeout_ms:
         SQLite ``busy_timeout`` applied to the connection.  Without it a
         reader colliding with a writer's exclusive moment (or two writers
@@ -239,7 +239,7 @@ class PatternStore:
         Combines this handle's own write counter with SQLite's
         ``data_version`` pragma (which advances when *another* connection
         commits), so the serving layer's cache can key on it and never serve
-        stale results after an append or merge.
+        stale results after an append.
         """
         with self._lock:
             row = self._conn.execute("PRAGMA data_version").fetchone()
@@ -300,24 +300,6 @@ class PatternStore:
     def write_result(self, result) -> Dict[str, int]:
         """Persist a :class:`~repro.core.pipeline.MiningResult` (params included)."""
         return self._insert(result.closed_crowds, result.gatherings, params=result.params)
-
-    def merge_from(self, other: Union["PatternStore", PathLike]) -> Dict[str, int]:
-        """Fold another store's patterns into this one (idempotent).
-
-        ``other`` may be an open :class:`PatternStore` or a path.  Parameter
-        compatibility is enforced the same way as :meth:`set_params`.
-        """
-        self._assert_writable()
-        opened_here = not isinstance(other, PatternStore)
-        source = PatternStore(other, readonly=True) if opened_here else other
-        try:
-            params = source.params()
-            crowds = [record.decode() for record in source.query_crowds()]
-            gatherings = [record.decode() for record in source.query_gatherings()]
-        finally:
-            if opened_here:
-                source.close()
-        return self._insert(crowds, gatherings, params=params)
 
     def _insert(
         self,

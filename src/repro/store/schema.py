@@ -11,8 +11,8 @@ reconstruction and indexed querying:
   (the :mod:`repro.core.codec` encoding) from which the original
   :class:`~repro.core.crowd.Crowd` / :class:`~repro.core.gathering.Gathering`
   object is rebuilt.  ``fingerprint`` is the content hash of the pattern's
-  identity; a UNIQUE constraint on it gives the store its append/merge
-  semantics — shard outputs and streaming evictions can all be inserted
+  identity; a UNIQUE constraint on it gives the store its idempotent append
+  semantics — repeated runs and streaming evictions can all be inserted
   blindly and land exactly once;
 * ``crowd_members`` / ``gathering_participators`` — normalized per-object
   rows enabling "which gatherings did object o take part in?" lookups

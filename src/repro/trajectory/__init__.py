@@ -1,10 +1,9 @@
-"""Trajectory data model, IO, dataset readers and statistics."""
+"""Trajectory data model, IO and dataset readers."""
 
 from .trajectory import Trajectory, TrajectoryDatabase
 from .io import load_csv, load_jsonl, save_csv, save_jsonl
 from .formats import load_geolife_plt, load_geolife_user, load_tdrive, load_tdrive_directory
 from .geo import EARTH_RADIUS_M, LocalProjection, haversine_distance, project_database
-from .stats import DatabaseSummary, speed_histogram, summarize
 
 __all__ = [
     "Trajectory",
@@ -21,7 +20,4 @@ __all__ = [
     "LocalProjection",
     "haversine_distance",
     "project_database",
-    "DatabaseSummary",
-    "speed_histogram",
-    "summarize",
 ]

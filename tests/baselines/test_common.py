@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.baselines.common import SnapshotGroups, groups_from_clusters, positions_by_time
+from repro.baselines.common import SnapshotGroups, groups_from_clusters
 from repro.clustering.snapshot import ClusterDatabase
-from repro.trajectory.trajectory import Trajectory, TrajectoryDatabase
 
 
 class TestSnapshotGroups:
@@ -32,20 +31,3 @@ class TestGroupsFromClusters:
         assert groups.at(0) == [frozenset({1, 2})]
         assert sorted(groups.at(1), key=len) == [frozenset({3}), frozenset({4, 5})]
 
-
-class TestPositionsByTime:
-    def test_positions_follow_time_step(self):
-        db = TrajectoryDatabase(
-            [Trajectory.from_coordinates(0, [(t, t * 10.0, 0.0) for t in range(5)])]
-        )
-        timestamps, snapshots = positions_by_time(db, time_step=2.0)
-        assert timestamps == [0.0, 2.0, 4.0]
-        assert snapshots[1][0].x == pytest.approx(20.0)
-
-    def test_explicit_timestamps(self):
-        db = TrajectoryDatabase(
-            [Trajectory.from_coordinates(0, [(t, t * 10.0, 0.0) for t in range(5)])]
-        )
-        timestamps, snapshots = positions_by_time(db, timestamps=[1.5])
-        assert timestamps == [1.5]
-        assert snapshots[0][0].x == pytest.approx(15.0)

@@ -42,7 +42,6 @@ class TestChaosServe:
         report = run_loadtest(
             store_path,
             WorkloadConfig(requests=160, clients=8, seed=7),
-            impl="async",
             pool_size=2,
             request_timeout=5.0,
             max_in_flight=2,
@@ -61,7 +60,6 @@ class TestChaosServe:
         report = run_loadtest(
             store_path,
             WorkloadConfig(requests=120, clients=6, seed=3),
-            impl="async",
             pool_size=2,
             request_timeout=5.0,
         )

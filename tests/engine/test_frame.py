@@ -1,10 +1,9 @@
 """Tests for the columnar snapshot frames built by batched phase 1."""
 
-import numpy as np
 import pytest
 
 from repro.clustering.snapshot import build_cluster_database
-from repro.engine.phase1 import build_cluster_database_batched, frames_from_arena
+from repro.engine.phase1 import build_cluster_database_batched
 from repro.geometry.point import Point
 from repro.trajectory.trajectory import Trajectory, TrajectoryDatabase
 
@@ -83,9 +82,6 @@ class TestSnapshotFrame:
         # An all-noise snapshot yields no frame, and its database snapshot
         # stays present but empty.
         database = stationary_database({1: (0, 0), 2: (500, 500)})
-        arena = database.positions_matrix(database.timestamps(step=1.0))
-        labels = np.full(len(arena.object_ids), -1, dtype=np.int64)
-        assert frames_from_arena(arena, labels) == {}
         cdb = build_cluster_database_batched(database, eps=12.0, min_points=2)
         assert cdb.snapshot_count() == 2
         assert cdb.clusters_at(3.0) == []

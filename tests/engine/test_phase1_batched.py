@@ -10,7 +10,7 @@ from repro.clustering.snapshot import SnapshotCluster, build_cluster_database
 from repro.engine.dbscan import dbscan_numpy_batched
 from repro.engine.frame import FrameBackedCluster
 from repro.engine.kernels import neighbor_pairs, neighbor_pairs_batched
-from repro.engine.phase1 import build_cluster_database_batched, frames_from_arena
+from repro.engine.phase1 import build_cluster_database_batched
 from repro.geometry.point import Point
 from repro.trajectory.trajectory import Trajectory, TrajectoryDatabase
 
@@ -313,15 +313,3 @@ class TestBatchedBuilder:
             assert [
                 (c.cluster_id, c.members) for c in parallel.clusters_at(t)
             ] == [(c.cluster_id, c.members) for c in serial.clusters_at(t)]
-
-    def test_frames_from_arena_orders_members_by_object_id(self):
-        database = _random_database(seed=2, objects=12, duration=6)
-        arena = database.positions_matrix(database.timestamps(step=1.0))
-        labels = dbscan_numpy_batched(arena.coords, arena.offsets, 120.0, 2)
-        frames = frames_from_arena(arena, labels)
-        for frame in frames.values():
-            for index in range(len(frame.clusters)):
-                start, end = frame.segment(index)
-                ids = frame.object_ids[start:end].tolist()
-                assert ids == sorted(ids)
-                assert frame.cluster_ids[index] == index

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry.hausdorff import (
-    directed_hausdorff,
-    hausdorff,
-    hausdorff_naive,
-    hausdorff_within,
-)
+from repro.geometry.hausdorff import hausdorff, hausdorff_naive, hausdorff_within
 from repro.geometry.point import Point
 
 
@@ -25,20 +20,6 @@ class TestExactDistance:
 
     def test_symmetry(self):
         assert hausdorff(SQUARE, SHIFTED) == pytest.approx(hausdorff(SHIFTED, SQUARE))
-
-    def test_directed_distance_is_asymmetric(self):
-        small = [Point(0.0, 0.0)]
-        big = [Point(0.0, 0.0), Point(10.0, 0.0)]
-        assert directed_hausdorff(small, big) == pytest.approx(0.0)
-        assert directed_hausdorff(big, small) == pytest.approx(10.0)
-
-    def test_symmetric_is_max_of_directed(self):
-        d = max(directed_hausdorff(SQUARE, SHIFTED), directed_hausdorff(SHIFTED, SQUARE))
-        assert hausdorff(SQUARE, SHIFTED) == pytest.approx(d)
-
-    def test_subset_gives_one_sided_zero(self):
-        subset = SQUARE[:2]
-        assert directed_hausdorff(subset, SQUARE) == pytest.approx(0.0)
 
     def test_accepts_numpy_arrays(self):
         a = np.array([[0.0, 0.0], [1.0, 0.0]])

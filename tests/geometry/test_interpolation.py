@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.geometry.interpolation import interpolate_position, resample_track
+from repro.geometry.interpolation import interpolate_position
 from repro.geometry.point import Point
 
 
@@ -46,14 +46,3 @@ class TestInterpolatePosition:
         assert interpolate_position(SAMPLES, 0.0) == Point(0.0, 0.0)
         assert interpolate_position(SAMPLES, 20.0) == Point(10.0, 10.0)
 
-
-class TestResampleTrack:
-    def test_resample_returns_one_entry_per_timestamp(self):
-        resampled = resample_track(SAMPLES, [0.0, 5.0, 25.0])
-        assert len(resampled) == 3
-        assert resampled[0] == (0.0, Point(0.0, 0.0))
-        assert resampled[1] == (5.0, Point(5.0, 0.0))
-        assert resampled[2] == (25.0, None)
-
-    def test_resample_empty_timestamps(self):
-        assert resample_track(SAMPLES, []) == []

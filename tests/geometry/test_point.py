@@ -1,19 +1,8 @@
 """Tests for repro.geometry.point."""
 
-import math
-
-import numpy as np
 import pytest
 
-from repro.geometry.point import (
-    Point,
-    array_to_points,
-    bounding_coordinates,
-    centroid,
-    euclidean,
-    points_to_array,
-    squared_euclidean,
-)
+from repro.geometry.point import Point, centroid, points_to_array
 
 
 class TestPoint:
@@ -45,17 +34,11 @@ class TestPoint:
 
 
 class TestFreeFunctions:
-    def test_euclidean_on_tuples(self):
-        assert euclidean((0, 0), (0, 5)) == pytest.approx(5.0)
-
-    def test_squared_euclidean_on_tuples(self):
-        assert squared_euclidean((1, 1), (4, 5)) == pytest.approx(25.0)
-
     def test_points_to_array_round_trip(self):
         pts = [Point(0.0, 1.0), Point(2.0, 3.0)]
         arr = points_to_array(pts)
         assert arr.shape == (2, 2)
-        assert array_to_points(arr) == pts
+        assert [Point(float(x), float(y)) for x, y in arr] == pts
 
     def test_points_to_array_empty(self):
         assert points_to_array([]).shape == (0, 2)
@@ -67,11 +50,3 @@ class TestFreeFunctions:
     def test_centroid_empty_raises(self):
         with pytest.raises(ValueError):
             centroid([])
-
-    def test_bounding_coordinates(self):
-        pts = [Point(1.0, 5.0), Point(-2.0, 3.0), Point(4.0, -1.0)]
-        assert bounding_coordinates(pts) == (-2.0, -1.0, 4.0, 5.0)
-
-    def test_bounding_coordinates_empty_raises(self):
-        with pytest.raises(ValueError):
-            bounding_coordinates([])

@@ -10,7 +10,6 @@ finds, and the HTTP endpoint must agree with the CLI answer.
 from __future__ import annotations
 
 import json
-import threading
 import urllib.request
 
 import pytest
@@ -19,7 +18,7 @@ from repro.cli import main
 from repro.core.config import GatheringParameters
 from repro.core.pipeline import GatheringMiner
 from repro.datagen.scenarios import city_scenario
-from repro.serve import PatternApp, SingleStorePool, make_server
+from repro.serve import PatternApp, SingleStorePool, running_server
 from repro.store import PatternStore
 from repro.trajectory.io import save_csv
 
@@ -118,16 +117,9 @@ def test_serve_rejects_one_shot_filter_flags(mined_store, capsys):
 
 def test_http_endpoint_agrees_with_the_store(mined_store, reference):
     with PatternStore(mined_store, readonly=True) as store:
-        server = make_server(PatternApp(SingleStorePool(store)))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = server.server_address
+        with running_server(PatternApp(SingleStorePool(store))) as (host, port):
             with urllib.request.urlopen(
                 f"http://{host}:{port}/gatherings?from=-1000&to=100000", timeout=10
             ) as response:
                 document = json.loads(response.read())
-        finally:
-            server.shutdown()
-            server.server_close()
     assert document["count"] == len(reference.gatherings)

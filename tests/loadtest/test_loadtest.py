@@ -128,7 +128,6 @@ class TestLatencySummary:
 class TestReportMath:
     def report(self, wall=2.0, errors=3):
         return LoadtestReport(
-            impl="async",
             config=WorkloadConfig(requests=100, clients=4),
             latency=LatencySummary.from_samples([0.01] * 100),
             wall_seconds=wall,
@@ -149,33 +148,23 @@ class TestReportMath:
 
 
 class TestEndToEnd:
-    @pytest.mark.parametrize("impl", ["async", "threaded"])
-    def test_small_run_has_no_errors(self, impl):
+    def test_small_run_has_no_errors(self):
         store = small_store()
         try:
             config = WorkloadConfig(requests=60, clients=4, seed=13)
-            report = run_loadtest("", config, impl=impl, store=store)
+            report = run_loadtest("", config, store=store)
         finally:
             store.close()
-        assert report.impl == impl
+        assert report.as_dict()["backend"] == "async"
         assert report.latency.count == 60
         assert report.errors == 0
         assert report.statuses == {200: 60}
         assert report.throughput_rps > 0
 
-    def test_unknown_impl_rejected(self):
-        store = small_store()
-        try:
-            with pytest.raises(ValueError, match="impl"):
-                run_loadtest("", WorkloadConfig(requests=1), impl="gopher", store=store)
-        finally:
-            store.close()
-
 
 class TestBenchSchemaPayload:
     def make_report(self):
         return LoadtestReport(
-            impl="async",
             config=WorkloadConfig(requests=10, clients=2),
             latency=LatencySummary.from_samples([0.01, 0.02]),
             wall_seconds=1.0,
@@ -183,7 +172,7 @@ class TestBenchSchemaPayload:
         )
 
     def test_payload_shape(self):
-        payload = loadtest_payload([self.make_report()], quick=True, store_summary={"crowds": 6})
+        payload = loadtest_payload(self.make_report(), quick=True, store_summary={"crowds": 6})
         assert payload["quick"] is True
         assert len(payload["scenarios"]) == 1
         scenario = payload["scenarios"][0]
@@ -196,7 +185,7 @@ class TestBenchSchemaPayload:
             "schema_version": 1,
             "scenarios": [{"name": "city", "backends": []}, {"name": "serving", "old": True}],
         }
-        extra = loadtest_payload([self.make_report()], quick=False)
+        extra = loadtest_payload(self.make_report(), quick=False)
         merged = merge_payloads(base, extra)
         names = [scenario["name"] for scenario in merged["scenarios"]]
         assert names == ["city", "serving"]
@@ -214,7 +203,6 @@ class TestLoadtestCli:
                 "--store", str(db),
                 "--requests", "40",
                 "--clients", "4",
-                "--impl", "async",
                 "--output", str(output),
             ]
         )
@@ -227,3 +215,29 @@ class TestLoadtestCli:
         assert [row["backend"] for row in rows] == ["async"]
         assert rows[0]["requests"] == 40
         assert rows[0]["error_rate"] == 0.0
+
+    def test_request_timeout_zero_disables_the_bound(self, tmp_path, capsys):
+        # As for ``repro query --serve``: 0 means no per-request bound.
+        db = tmp_path / "patterns.db"
+        small_store(db).close()
+        output = tmp_path / "LT.json"
+        exit_code = main(
+            [
+                "loadtest",
+                "--store", str(db),
+                "--requests", "20",
+                "--clients", "2",
+                "--request-timeout", "0",
+                "--output", str(output),
+            ]
+        )
+        assert exit_code == 0, capsys.readouterr().err
+        row = json.loads(output.read_text())["scenarios"][0]["backends"][0]
+        assert row["requests"] == 20 and row["error_rate"] == 0.0
+
+    def test_negative_request_timeout_fails_before_mining(self, capsys):
+        exit_code = main(["loadtest", "--quick", "--request-timeout=-1"])
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert "--request-timeout" in captured.err
+        assert "mining" not in captured.out

@@ -1,14 +1,11 @@
 """Property-based tests for the geometric primitives."""
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.hausdorff import hausdorff, hausdorff_naive, hausdorff_within
 from repro.geometry.mbr import mbr_of_points, min_distance_rects, side_distance
 from repro.geometry.point import Point
-from repro.geometry.simplify import douglas_peucker
 
 coordinate = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False)
 point_strategy = st.builds(Point, coordinate, coordinate)
@@ -64,23 +61,3 @@ class TestMBRBoundProperties:
         # d_side is at least as tight as d_min.
         assert d_side >= d_min - 1e-9
 
-
-class TestSimplificationProperties:
-    @given(
-        st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=40),
-        st.floats(min_value=0.0, max_value=500.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_endpoints_preserved_and_subset(self, points, tolerance):
-        simplified = douglas_peucker(points, tolerance)
-        assert simplified[0] == points[0]
-        assert simplified[-1] == points[-1]
-        assert len(simplified) <= len(points)
-        # Every retained point is one of the originals, in order.
-        iterator = iter(points)
-        for kept in simplified:
-            for original in iterator:
-                if original == kept:
-                    break
-            else:
-                raise AssertionError("simplified point not found in order")

@@ -1,10 +1,10 @@
-"""Concurrency parity: async and threaded servers answer byte-identically.
+"""Concurrency parity: the async server answers byte-identically to the app.
 
 A single-threaded oracle (a fresh ``PatternApp`` driven directly, no HTTP)
 computes the expected ``(status, body)`` for every endpoint/filter
-combination; then N concurrent clients fire the same requests at both live
-server implementations and every response must match the oracle exactly —
-same status codes, byte-identical JSON bodies — under real concurrency.
+combination; then N concurrent clients fire the same requests at the live
+server and every response must match the oracle exactly — same status
+codes, byte-identical JSON bodies — under real concurrency.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.serve import (
     PatternApp,
     ReadConnectionPool,
     SingleStorePool,
-    make_server,
     running_server,
 )
 from repro.store import PatternStore
@@ -127,43 +126,3 @@ def test_async_server_matches_oracle_under_concurrency(corpus):
     finally:
         pool.close()
 
-
-def test_threaded_server_matches_oracle_under_concurrency(corpus):
-    path, targets, expected = corpus
-    pool = ReadConnectionPool(path, size=4)
-    app = PatternApp(pool, cache_size=64)
-    server = make_server(app)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        host, port = server.server_address[0], server.server_address[1]
-        assert fire_concurrently(host, port, targets, expected) == []
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-        pool.close()
-
-
-def test_both_implementations_agree_with_each_other(corpus):
-    path, targets, expected = corpus
-    async_pool = ReadConnectionPool(path, size=2)
-    threaded_pool = ReadConnectionPool(path, size=2)
-    async_app = PatternApp(async_pool, cache_size=16)
-    threaded_app = PatternApp(threaded_pool, cache_size=16)
-    server = make_server(threaded_app)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        with running_server(async_app) as (async_host, async_port):
-            threaded_host, threaded_port = server.server_address[:2]
-            for target in targets:
-                assert fetch(async_host, async_port, target) == fetch(
-                    threaded_host, threaded_port, target
-                )
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-        async_pool.close()
-        threaded_pool.close()

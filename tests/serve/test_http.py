@@ -1,9 +1,8 @@
-"""The stdlib HTTP endpoint: routes, filters, error handling, concurrency."""
+"""The HTTP endpoint: routes, filters, error handling, concurrency."""
 
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +13,7 @@ from repro.clustering.snapshot import SnapshotCluster
 from repro.core.crowd import Crowd
 from repro.core.gathering import Gathering
 from repro.geometry.point import Point
-from repro.serve import PatternApp, SingleStorePool, make_server
+from repro.serve import PatternApp, SingleStorePool, running_server
 from repro.store import PatternStore
 
 
@@ -35,25 +34,21 @@ def server():
     )
     store.add_crowds([near, far])
     store.add_gatherings([Gathering(crowd=near, participator_ids=frozenset({1, 2, 3}))])
-    server = make_server(PatternApp(SingleStorePool(store)))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     try:
-        yield server
+        with running_server(PatternApp(SingleStorePool(store))) as address:
+            yield address
     finally:
-        server.shutdown()
-        server.server_close()
         store.close()
 
 
 def get(server, path):
-    host, port = server.server_address
+    host, port = server
     with urllib.request.urlopen(f"http://{host}:{port}{path}", timeout=10) as response:
         return response.status, json.loads(response.read())
 
 
 def get_error(server, path):
-    host, port = server.server_address
+    host, port = server
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(f"http://{host}:{port}{path}", timeout=10)
     return excinfo.value.code, json.loads(excinfo.value.read())

@@ -192,13 +192,13 @@ def test_stored_rows_match_the_original_insert(patterns):
     # repr tells -0.0 from 0.0, which == does not.
     assert repr(store_rows(written._conn)) == repr(expected)
 
-    # A merge re-encodes the decoded (scalar) clusters, in the source's
-    # query order: the oracle's rows for that order, the written content.
+    # Re-writing the decoded (scalar) clusters, in the store's query order,
+    # gives the oracle's rows for that order and the written content.
     decoded = list(written.crowds()), list(written.gatherings())
-    merged = PatternStore(":memory:")
-    merged.merge_from(written)
-    assert repr(store_rows(merged._conn)) == repr(oracle_rows(*decoded))
-    assert content(merged) == content(written)
+    rewritten = PatternStore(":memory:")
+    rewritten.add_patterns(*decoded)
+    assert repr(store_rows(rewritten._conn)) == repr(oracle_rows(*decoded))
+    assert content(rewritten) == content(written)
 
 
 def test_frame_backed_encoding_never_builds_the_member_map():

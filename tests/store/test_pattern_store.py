@@ -86,15 +86,6 @@ class TestAppendMergeSemantics:
         assert store.crowd_count() == 1
         assert store.gathering_count() == 1
 
-    def test_merge_from_is_idempotent(self, tmp_path, crowd_a, crowd_b, gathering_a):
-        source = PatternStore(tmp_path / "source.db")
-        source.add_crowds([crowd_a, crowd_b])
-        source.add_gatherings([gathering_a])
-        target = PatternStore(tmp_path / "target.db")
-        assert target.merge_from(source) == {"crowds": 2, "gatherings": 1}
-        assert target.merge_from(tmp_path / "source.db") == {"crowds": 0, "gatherings": 0}
-        assert target.crowd_count() == 2
-
     def test_params_mismatch_rejected(self):
         store = PatternStore(":memory:")
         store.set_params(GatheringParameters(mc=5))
