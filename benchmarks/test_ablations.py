@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.clustering.dbscan import dbscan
-from repro.core.bitvector import BitVector, popcount_tree
+from repro.core.bitvector import popcount_tree
 from repro.core.crowd_discovery import discover_closed_crowds
 from repro.core.range_search import make_range_search
 from repro.geometry.hausdorff import hausdorff, hausdorff_naive, hausdorff_within

@@ -1,18 +1,9 @@
-"""Analysis helpers: time-of-day classification, effectiveness study, statistics."""
+"""Analysis helpers: the effectiveness study."""
 
-from .time_periods import PERIODS, assign_to_periods, classify_minute, periods_of_interval
 from .effectiveness import PatternCounts, count_patterns, count_patterns_for_scenario
-from .statistics import PatternStatistics, crowd_statistics, gathering_statistics
 
 __all__ = [
-    "PERIODS",
-    "assign_to_periods",
-    "classify_minute",
-    "periods_of_interval",
     "PatternCounts",
     "count_patterns",
     "count_patterns_for_scenario",
-    "PatternStatistics",
-    "crowd_statistics",
-    "gathering_statistics",
 ]

@@ -67,12 +67,10 @@ class BenchScenario:
     #: per-snapshot loop would take hours at 100k objects and has no
     #: out-of-core story to measure.
     restrict_backends: Optional[Tuple[str, ...]] = None
-    #: Run phase 1 through the spilled (memmap) arena with object-axis
-    #: interpolation shards — the out-of-core path this scenario exists to
-    #: track; mined answers are unchanged (property-tested).
+    #: Run phase 1 through the spilled (memmap) arena — the out-of-core
+    #: path this scenario exists to track; mined answers are unchanged
+    #: (property-tested).
     outofcore: bool = False
-    #: ``object_shards`` used when ``outofcore`` is set.
-    object_shards: int = 4
 
     def build(self, quick: bool = False):
         """Materialise the trajectory database of this workload."""
@@ -110,8 +108,8 @@ class BenchScenario:
 #: is the 5k-object / 150-snapshot workload where phase 1 dominates (the
 #: batched whole-database clustering target); ``megacity`` is the 100k-object
 #: sparse-sample workload that runs phase 1 out-of-core (spilled memmap
-#: arena + object-axis interpolation shards) — the only configuration that
-#: holds it under the documented RSS budget (see docs/performance.md).
+#: arena) — the only configuration that holds it under the documented RSS
+#: budget (see docs/performance.md).
 SCENARIOS: Dict[str, BenchScenario] = {
     scenario.name: scenario
     for scenario in (
@@ -410,11 +408,7 @@ def run_scenario(
     with tempfile.TemporaryDirectory(prefix=f"bench-{scenario.name}-") as spill_root:
         execution = None
         if scenario.outofcore:
-            execution = ExecutionConfig(
-                backend="numpy",
-                spill_dir=spill_root,
-                object_shards=scenario.object_shards,
-            )
+            execution = ExecutionConfig(backend="numpy", spill_dir=spill_root)
         # Phases 2/3 are timed against one shared cluster database so both
         # backends answer the identical mining question.
         cluster_db = GatheringMiner(

@@ -104,24 +104,12 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help="kernel backend: vectorized columnar (numpy) or scalar reference (python)",
     )
     group.add_argument(
-        "--chunk-size",
-        type=int,
-        default=2048,
-        help="rows per distance-matrix block in the vectorized kernels",
-    )
-    group.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="worker processes for phase-1 snapshot clustering (1 = in-process)",
-    )
-    group.add_argument(
-        "--object-shards",
-        type=int,
-        default=1,
         help=(
-            "object-axis groups per phase-1 interpolation block (numpy backend); "
-            "bounds extraction memory, answers unchanged"
+            "worker processes for phase-1 snapshot clustering "
+            "(1 = in-process; more requires the numpy backend)"
         ),
     )
     group.add_argument(
@@ -213,10 +201,8 @@ def _quality_config_from_args(args: argparse.Namespace) -> QualityConfig:
 def _execution_config_from_args(args: argparse.Namespace) -> ExecutionConfig:
     return ExecutionConfig(
         backend=args.backend,
-        chunk_size=args.chunk_size,
         workers=args.workers,
-        object_shards=getattr(args, "object_shards", 1),
-        spill_dir=getattr(args, "spill_dir", None),
+        spill_dir=args.spill_dir,
     )
 
 
@@ -711,7 +697,9 @@ def _open_store(path: str):
 
 
 def _command_mine(args: argparse.Namespace) -> int:
-    runs_proximity_graph(args.range_search, args.backend)  # reject before phase 1
+    # Reject a bad scheme or execution config before loading.
+    runs_proximity_graph(args.range_search, args.backend)
+    config = _execution_config_from_args(args)
     database = _load_database(args)
     params = _parameters_from_args(args)
     if args.spill_dir:
@@ -725,7 +713,7 @@ def _command_mine(args: argparse.Namespace) -> int:
         params,
         range_search=args.range_search,
         detection_method=args.detection,
-        config=_execution_config_from_args(args),
+        config=config,
     )
     result = miner.mine(database)
     if store is not None:
@@ -798,7 +786,9 @@ def _command_stream(args: argparse.Namespace) -> int:
     if args.input is None and not args.demo:
         raise ValueError("stream needs --input or --demo")
     if not args.restore:
-        runs_proximity_graph(args.range_search, args.backend)  # reject before replay
+        # Reject a bad scheme or execution config before replaying.
+        runs_proximity_graph(args.range_search, args.backend)
+        config = _execution_config_from_args(args)
 
     if args.demo:
         scenario = streaming_scenario(
@@ -833,7 +823,7 @@ def _command_stream(args: argparse.Namespace) -> int:
             _parameters_from_args(args),
             window=args.window,
             range_search=args.range_search,
-            config=_execution_config_from_args(args),
+            config=config,
             slack=args.slack,
             late_policy=args.late_policy,
             eviction=args.eviction,
@@ -1018,9 +1008,10 @@ def _command_effectiveness(args: argparse.Namespace) -> int:
 def _command_compare(args: argparse.Namespace) -> int:
     from .baselines import groups_from_clusters, mine_convoys, mine_swarms
 
+    config = _execution_config_from_args(args)  # reject before loading
     database = _load_database(args)
     params = _parameters_from_args(args)
-    miner = GatheringMiner(params, config=_execution_config_from_args(args))
+    miner = GatheringMiner(params, config=config)
     cluster_db = miner.cluster(database)
     result = miner.mine_clusters(cluster_db)
     groups = groups_from_clusters(cluster_db)

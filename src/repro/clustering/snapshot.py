@@ -215,7 +215,6 @@ def build_cluster_database(
     time_step: float = 1.0,
     max_gap: Optional[float] = None,
     method: str = "grid",
-    object_shards: int = 1,
     spill_dir: Optional[str] = None,
     workers: int = 1,
 ) -> ClusterDatabase:
@@ -237,22 +236,13 @@ def build_cluster_database(
         ``"numpy"`` dispatches to the batched whole-database path
         (:func:`repro.engine.phase1.build_cluster_database_batched`): one
         columnar sweep per block of snapshots, label-identical to the
-        per-snapshot loop.
-    object_shards:
-        Object-axis interpolation groups for the batched path (results
-        unchanged; bounds extraction memory).  The scalar methods
-        interpolate one snapshot dict at a time, where the knob is
-        meaningless — it is accepted and ignored so callers can pass one
-        execution config to either backend.
-    spill_dir:
-        Out-of-core spill directory for the batched path; requires
-        ``method="numpy"`` (the scalar per-snapshot loop has no arena to
-        spill, so a spill request on it is a configuration error).
-    workers:
-        Worker processes (``1`` keeps everything in-process).  The batched
-        path clusters one block of snapshots per job; the scalar methods
-        one snapshot per job (:mod:`repro.engine.parallel`).  Results are
-        identical either way.
+        per-snapshot loop.  The scalar methods run that loop serially; they
+        are the parity reference of the batched path.
+    spill_dir, workers:
+        Out-of-core spill directory and worker processes of the batched
+        path; both require ``method="numpy"`` (the scalar loop has no
+        position arena to spill and runs in-process, so asking it for
+        either is a configuration error).
     """
     if method == "numpy":
         from ..engine.phase1 import build_cluster_database_batched
@@ -264,27 +254,17 @@ def build_cluster_database(
             min_points=min_points,
             time_step=time_step,
             max_gap=max_gap,
-            object_shards=object_shards,
             spill_dir=spill_dir,
             workers=workers,
         )
-    if spill_dir is not None:
+    if spill_dir is not None or workers > 1:
         raise ValueError(
-            "spill_dir requires the batched numpy path (method='numpy'); "
-            f"the scalar {method!r} method has no position arena to spill"
+            "workers > 1 or a spill_dir needs the batched numpy path "
+            f"(method='numpy'); the scalar {method!r} method runs serially in RAM"
         )
     if timestamps is None:
         timestamps = database.timestamps(step=time_step)
-    timestamps = list(timestamps)
     cdb = ClusterDatabase()
-    if workers > 1 and len(timestamps) > 1:
-        from ..engine.parallel import cluster_snapshots_pooled
-
-        for t, clusters in cluster_snapshots_pooled(
-            database, timestamps, eps, min_points, max_gap, method, workers
-        ):
-            cdb.add_snapshot(t, clusters)
-        return cdb
     runner = DBSCANRunner(eps=eps, min_points=min_points, method=method)
     for t in timestamps:
         positions = database.snapshot(t, max_gap=max_gap)

@@ -3,7 +3,7 @@
 from .config import PAPER_DEFAULTS, GatheringParameters
 from .crowd import Crowd, is_crowd
 from .crowd_discovery import CrowdDiscoveryResult, discover_closed_crowds
-from .bitvector import BitVector, build_signatures, popcount_tree, subsequence_mask
+from .bitvector import BitVector, build_signatures, popcount_tree
 from .gathering import (
     Gathering,
     detect_gatherings,
@@ -36,7 +36,6 @@ __all__ = [
     "BitVector",
     "build_signatures",
     "popcount_tree",
-    "subsequence_mask",
     "Gathering",
     "detect_gatherings",
     "detect_gatherings_brute_force",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-__all__ = ["BitVector", "build_signatures", "subsequence_mask", "popcount_tree"]
+__all__ = ["BitVector", "build_signatures", "popcount_tree"]
 
 
 @lru_cache(maxsize=None)
@@ -184,10 +184,3 @@ def build_signatures(crowd) -> Dict[int, BitVector]:
         object_id: BitVector.from_positions(width, pos_list)
         for object_id, pos_list in positions.items()
     }
-
-
-def subsequence_mask(width: int, start: int, end: int) -> BitVector:
-    """Mask selecting positions ``[start, end)`` of a ``width``-bit signature."""
-    if start < 0 or end > width or start >= end:
-        raise ValueError(f"invalid mask bounds [{start}, {end}) for width {width}")
-    return BitVector.from_positions(width, range(start, end))

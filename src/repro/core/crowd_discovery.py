@@ -110,9 +110,7 @@ def discover_closed_crowds(
         from ..engine.proximity import build_proximity_graph
         from ..engine.sweep import sweep_crowds_frontier
 
-        graph = build_proximity_graph(
-            cluster_db, params, timestamps=timestamps, chunk_size=config.chunk_size
-        )
+        graph = build_proximity_graph(cluster_db, params, timestamps=timestamps)
         return sweep_crowds_frontier(
             graph, params, initial_candidates=initial_candidates
         )

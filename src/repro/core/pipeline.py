@@ -72,24 +72,14 @@ class GatheringMiner:
         params: Optional[GatheringParameters] = None,
         range_search: str = "GRID",
         detection_method: str = "TAD*",
-        dbscan_method: str = "grid",
         config: Optional[ExecutionConfig] = None,
     ) -> None:
         self.params = params or GatheringParameters()
         self.range_search = range_search
         self.detection_method = detection_method
-        self.dbscan_method = dbscan_method
         # No explicit config keeps the historical scalar behaviour; passing
         # ExecutionConfig() opts into the vectorized backend.
         self.config = config or ExecutionConfig(backend="python")
-
-    def _dbscan_method(self) -> str:
-        # The numpy backend vectorizes the default grid neighbour search; a
-        # non-default method (e.g. "naive" for an ablation) is honoured as
-        # requested regardless of backend.
-        if self.config.backend == "numpy" and self.dbscan_method == "grid":
-            return "numpy"
-        return self.dbscan_method
 
     # -- phase 1 -------------------------------------------------------------
     def cluster(
@@ -109,8 +99,7 @@ class GatheringMiner:
             eps=self.params.eps,
             min_points=self.params.min_points,
             time_step=self.params.time_step,
-            method=self._dbscan_method(),
-            object_shards=self.config.object_shards,
+            method="numpy" if self.config.backend == "numpy" else "grid",
             spill_dir=self.config.spill_dir,
             workers=self.config.workers,
         )

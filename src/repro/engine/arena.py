@@ -1,29 +1,18 @@
-"""Disk-backed position arenas and object-space sharding helpers.
+"""Disk-backed position arenas for out-of-core phase 1.
 
-The columnar :class:`~repro.trajectory.trajectory.PositionArena` of PR 5
-made phase 1 fast but kept the whole ``(t, oid, x, y)`` table in RAM —
-at megacity scale (100k+ objects, millions of interpolated rows) that is
-the last thing standing between the miner and "as large as the disk".
-This module supplies the two scale axes:
-
-* **Spilling** — :class:`ArenaSpool` accumulates arena rows on disk one
-  snapshot block at a time (plain append-only binary columns, no full
-  array ever materialised) and finalises them as read-only ``np.memmap``
-  columns.  ``np.memmap`` is an ``ndarray`` subclass, so memmap-backed
-  columns flow through frame slicing and the proximity-graph build
-  unchanged: contiguous slices stay zero-copy views of the file and the
-  OS pages them in and out on demand.  The batched phase-1 executor
-  (:func:`repro.engine.phase1.build_cluster_database_batched`) spools its
-  clustered rows here when given a ``spill_dir``.
-* **Object-space sharding** — :func:`partition_object_ids` splits the
-  object-id axis into contiguous groups and :func:`build_arena_block`
-  interpolates each group's sub-database separately, merging the partial
-  arenas back into one ``(timestamp, object id)``-sorted arena with
-  :func:`merge_arenas`.  Interpolation is per-object independent and
-  the merge restores the exact row order of an unsharded extraction, so
-  DBSCAN (which is *not* separable by object subsets) always sees the
-  complete snapshot: results are bit-identical by construction, while
-  peak interpolation memory drops to one object group at a time.
+The columnar :class:`~repro.trajectory.trajectory.PositionArena` makes
+phase 1 fast but keeps the whole ``(t, oid, x, y)`` table in RAM —
+at megacity scale (100k+ objects, millions of interpolated rows) that
+would be the last thing standing between the miner and "as large as the disk".
+:class:`ArenaSpool` accumulates arena rows on disk one snapshot block at a
+time (plain append-only binary columns, no full array ever materialised)
+and finalises them as read-only ``np.memmap`` columns.  ``np.memmap`` is an
+``ndarray`` subclass, so memmap-backed columns flow through frame slicing
+and the proximity-graph build unchanged: contiguous slices stay zero-copy
+views of the file and the OS pages them in and out on demand.  The batched
+phase-1 executor (:func:`repro.engine.phase1.build_cluster_database_batched`)
+spools its clustered rows here when given a ``spill_dir``, in blocks sized
+by :func:`effective_snapshot_block` to a fixed row budget.
 
 Every spill run writes into a fresh ``arena-*`` subdirectory of the
 caller's ``spill_dir`` (so concurrent builds never collide); the files
@@ -49,21 +38,18 @@ import shutil
 import tempfile
 import time
 import zlib
-from typing import IO, Any, Dict, List, Optional, Sequence, Tuple
+from typing import IO, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..resilience.faults import maybe_fault
-from ..trajectory.trajectory import PositionArena, TrajectoryDatabase
+from ..trajectory.trajectory import TrajectoryDatabase
 
 __all__ = [
     "DEFAULT_SPILL_BLOCK_ROWS",
     "SPILL_MANIFEST",
     "ArenaSpool",
     "SpillCorruptionError",
-    "partition_object_ids",
-    "merge_arenas",
-    "build_arena_block",
     "effective_snapshot_block",
     "reap_orphaned_spills",
     "verify_arena_dir",
@@ -362,98 +348,6 @@ def reap_orphaned_spills(
             shutil.rmtree(path, ignore_errors=True)
             removed.append(path)
     return removed
-
-
-def partition_object_ids(object_ids: Sequence[int], shards: int) -> List[List[int]]:
-    """Split object ids into ``shards`` contiguous near-equal groups.
-
-    The first ``len(object_ids) % shards`` groups get one extra id and
-    empty groups (more shards than objects) are dropped.
-    """
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    ids = sorted(object_ids)
-    base, extra = divmod(len(ids), shards)
-    groups: List[List[int]] = []
-    start = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        if size:
-            groups.append(ids[start : start + size])
-        start += size
-    return groups
-
-
-def merge_arenas(
-    timestamps: Sequence[float], arenas: Sequence[PositionArena]
-) -> PositionArena:
-    """Merge per-object-shard partial arenas over one shared timestamp list.
-
-    Each partial arena covers a disjoint object-id subset interpolated at
-    the *same* ``timestamps``; the merge re-sorts the concatenated rows by
-    ``(timestamp, object id)``, restoring exactly the row order an
-    unsharded ``positions_matrix`` extraction produces (the pair is unique
-    per row, so the order is total).  Coordinates are untouched —
-    interpolation never looks at other objects — so the merged arena is
-    bit-identical to the unsharded one.
-    """
-    ts_tuple = tuple(float(t) for t in timestamps)
-    m = len(ts_tuple)
-    if not arenas:
-        return PositionArena(
-            timestamps=ts_tuple,
-            ts_index=np.empty(0, dtype=np.int64),
-            object_ids=np.empty(0, dtype=np.int64),
-            coords=np.empty((0, 2), dtype=float),
-            offsets=np.zeros(m + 1, dtype=np.int64),
-        )
-    ts_index = np.concatenate([arena.ts_index for arena in arenas])
-    object_ids = np.concatenate([arena.object_ids for arena in arenas])
-    coords = np.concatenate([arena.coords for arena in arenas])
-    order = np.lexsort((object_ids, ts_index))
-    ts_index = ts_index[order]
-    object_ids = object_ids[order]
-    coords = coords[order]
-    offsets = np.searchsorted(
-        ts_index, np.arange(m + 1, dtype=np.int64), side="left"
-    ).astype(np.int64)
-    return PositionArena(
-        timestamps=ts_tuple,
-        ts_index=ts_index,
-        object_ids=object_ids,
-        coords=coords,
-        offsets=offsets,
-    )
-
-
-def build_arena_block(
-    database: TrajectoryDatabase,
-    timestamps: Sequence[float],
-    max_gap: Optional[float] = None,
-    object_shards: int = 1,
-) -> PositionArena:
-    """Interpolate one snapshot block, optionally sharded along the object axis.
-
-    With ``object_shards == 1`` this is exactly
-    :meth:`~repro.trajectory.trajectory.TrajectoryDatabase.positions_matrix`.
-    With more shards the database is partitioned into contiguous object-id
-    groups, each group interpolated on its own (bounding the extraction's
-    ``objects × timestamps`` working set to one group) and the partial
-    arenas merged back into the unsharded row order — see
-    :func:`merge_arenas` for why the result is bit-identical.
-    """
-    if object_shards < 1:
-        raise ValueError("object_shards must be at least 1")
-    if object_shards == 1:
-        return database.positions_matrix(timestamps, max_gap=max_gap)
-    groups = partition_object_ids(database.object_ids(), object_shards)
-    if len(groups) <= 1:
-        return database.positions_matrix(timestamps, max_gap=max_gap)
-    partials = [
-        database.subset_objects(group).positions_matrix(timestamps, max_gap=max_gap)
-        for group in groups
-    ]
-    return merge_arenas(timestamps, partials)
 
 
 def effective_snapshot_block(

@@ -6,10 +6,11 @@ dicts — and the vectorized phases 2/3 then re-pack all of it into columnar
 :class:`~repro.engine.frame.SnapshotFrame` arrays.  The batched path skips
 the scalar object layer entirely, one block of timestamps at a time:
 
-1. :func:`~repro.engine.arena.build_arena_block` interpolates every object
-   at every timestamp of the block in one vectorized pass and lands the
-   positions in a flat :class:`~repro.trajectory.trajectory.PositionArena`
-   (rows grouped by timestamp, object-id sorted within each).
+1. :meth:`~repro.trajectory.trajectory.TrajectoryDatabase.positions_matrix`
+   interpolates every object at every timestamp of the block in one
+   vectorized pass and lands the positions in a flat
+   :class:`~repro.trajectory.trajectory.PositionArena` (rows grouped by
+   timestamp, object-id sorted within each).
 2. :func:`~repro.engine.dbscan.dbscan_numpy_batched` clusters the whole
    block in a single sweep — the eps-grid bucket keys are offset per
    timestamp so neighbour pairs can never cross snapshots, one union-find
@@ -28,9 +29,8 @@ steps.  Blocks bound peak memory; step 2 runs in-process or on a
 supervised worker pool (``workers``); the columns land either in RAM or,
 with ``spill_dir``, in an on-disk :class:`~repro.engine.arena.ArenaSpool`
 whose ``np.memmap`` columns back the frames, so phase 2 and the
-proximity-graph build stream the frame data from disk.  ``object_shards``
-interpolates each block in contiguous object-id groups (see
-:mod:`repro.engine.arena`).  Every combination gives the same answer.
+proximity-graph build stream the frame data from disk.  Every combination
+gives the same answer.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from ..trajectory.trajectory import PositionArena, TrajectoryDatabase
 from .arena import (
     ArenaSpool,
     SpillCorruptionError,
-    build_arena_block,
     effective_snapshot_block,
     verify_arena_dir,
 )
@@ -174,7 +173,6 @@ def build_cluster_database_batched(
     time_step: float = 1.0,
     max_gap: Optional[float] = None,
     snapshot_block: int = DEFAULT_SNAPSHOT_BLOCK,
-    object_shards: int = 1,
     spill_dir: Optional[str] = None,
     workers: int = 1,
 ) -> ClusterDatabase:
@@ -208,9 +206,6 @@ def build_cluster_database_batched(
     by the arena row budget
     (:func:`~repro.engine.arena.effective_snapshot_block`); with
     ``workers > 1`` also capped at two blocks per worker.
-    ``object_shards > 1`` interpolates every block in contiguous object-id
-    groups merged back before clustering (bit-identical, bounded
-    extraction memory; see :func:`repro.engine.arena.build_arena_block`).
     """
     if snapshot_block < 1:
         raise ValueError("snapshot_block must be at least 1")
@@ -231,11 +226,8 @@ def build_cluster_database_batched(
         # Lazy: each block is interpolated only as the executor takes it.
         jobs = (
             (
-                build_arena_block(
-                    database,
-                    timestamps[start : start + block],
-                    max_gap=max_gap,
-                    object_shards=object_shards,
+                database.positions_matrix(
+                    timestamps[start : start + block], max_gap=max_gap
                 ),
                 eps,
                 min_points,

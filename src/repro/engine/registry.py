@@ -1,8 +1,7 @@
 """Execution backends and the configuration shared by every mining phase.
 
 :class:`ExecutionConfig` carries the execution knobs — backend choice, the
-row-chunk size bounding kernel memory, and an optional worker count for
-multiprocessing phase-1 clustering over independent snapshots.  The
+phase-1 worker count and the optional out-of-core spill directory.  The
 backend picks the implementation of each phase: the range-search schemes
 live in :data:`repro.core.range_search.RANGE_SEARCHES` (the numpy backend
 runs the proximity-graph sweep instead) and the gathering detectors come
@@ -31,21 +30,14 @@ class ExecutionConfig:
     ----------
     backend:
         ``"numpy"`` selects the columnar vectorized kernels; ``"python"``
-        selects the scalar reference implementations.
-    chunk_size:
-        Number of query rows per distance-matrix block in the vectorized
-        kernels; bounds peak memory.
+        selects the scalar reference implementations, which run serially
+        in RAM as the parity oracle of the numpy backend (so ``workers``
+        and ``spill_dir`` are rejected with it).
     workers:
-        Worker processes for phase-1 snapshot clustering.  Snapshots are
-        independent, so ``workers > 1`` clusters them in parallel (blocks
-        of snapshots on the numpy backend, single snapshots on the python
-        one); ``1`` keeps everything in-process.  Composes with
-        ``object_shards`` and ``spill_dir``; answers are unchanged.
-    object_shards:
-        Contiguous object-id groups per phase-1 interpolation block
-        (numpy backend).  Bounds the per-block extraction working set;
-        mined answers are unchanged (the partial arenas are merged back
-        before clustering — see :mod:`repro.engine.arena`).
+        Worker processes for phase-1 snapshot clustering (numpy backend).
+        Snapshots are independent, so ``workers > 1`` clusters blocks of
+        them in parallel; ``1`` keeps everything in-process.  Composes
+        with ``spill_dir``; answers are unchanged.
     spill_dir:
         When set (numpy backend), phase 1 runs out-of-core: the clustered
         position arena is spooled under this directory and frames become
@@ -56,17 +48,16 @@ class ExecutionConfig:
     """
 
     backend: str = "numpy"
-    chunk_size: int = 2048
     workers: int = 1
-    object_shards: int = 1
     spill_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.object_shards < 1:
-            raise ValueError("object_shards must be at least 1")
+        if self.backend == "python" and (self.workers > 1 or self.spill_dir is not None):
+            raise ValueError(
+                "workers > 1 or a spill_dir needs the numpy backend; "
+                "the python backend is the serial in-RAM reference"
+            )

@@ -26,12 +26,10 @@ retry/backoff/timeout knobs, the fault-plan format and the chaos harness.
 
 from .counters import ResilienceCounters
 from .faults import (
-    FaultError,
     FaultPlan,
     FaultSpec,
     active_plan,
     clear_plan,
-    fault_point,
     install_plan,
     maybe_fault,
 )
@@ -39,7 +37,6 @@ from .retry import RetryDeadlineExceeded, RetryPolicy
 from .supervisor import SupervisorReport, run_supervised
 
 __all__ = [
-    "FaultError",
     "FaultPlan",
     "FaultSpec",
     "ResilienceCounters",
@@ -48,7 +45,6 @@ __all__ = [
     "SupervisorReport",
     "active_plan",
     "clear_plan",
-    "fault_point",
     "install_plan",
     "maybe_fault",
     "run_supervised",

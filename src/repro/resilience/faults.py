@@ -1,11 +1,11 @@
 """Deterministic fault-injection plans and named injection sites.
 
 A :class:`FaultPlan` arms a set of *named sites* sprinkled through the
-codebase.  Each site is probed with :func:`maybe_fault` (or
-:func:`fault_point`, which raises); the plan decides — purely from how many
-times the site has been hit so far — whether this hit fires.  Because the
-decision is a function of the hit counter (no wall clock, no shared
-randomness), a chaos run with a given plan is exactly reproducible.
+codebase.  Each site is probed with :func:`maybe_fault`; the plan
+decides — purely from how many times the site has been hit so far —
+whether this hit fires.  Because the decision is a function of the hit
+counter (no wall clock, no shared randomness), a chaos run with a given
+plan is exactly reproducible.
 
 Known sites (new code is free to add more):
 
@@ -50,22 +50,16 @@ from typing import Dict, Iterable, Optional, Tuple
 
 __all__ = [
     "FAULT_PLAN_ENV",
-    "FaultError",
     "FaultPlan",
     "FaultSpec",
     "active_plan",
     "clear_plan",
-    "fault_point",
     "install_plan",
     "maybe_fault",
 ]
 
 #: Environment variable arming a process-wide plan (same spec formats).
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
-
-
-class FaultError(RuntimeError):
-    """An injected fault (the generic exception :func:`fault_point` raises)."""
 
 
 @dataclass(frozen=True)
@@ -225,9 +219,3 @@ def maybe_fault(site: str) -> Optional[FaultSpec]:
     if plan is None:
         return None
     return plan.should_fire(site)
-
-
-def fault_point(site: str) -> None:
-    """Probe ``site``; raise :class:`FaultError` when it fires."""
-    if maybe_fault(site) is not None:
-        raise FaultError(f"injected fault at site {site!r}")

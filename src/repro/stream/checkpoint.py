@@ -121,7 +121,6 @@ def save_checkpoint(service, path: PathLike, keep: int = 1) -> None:
         "params": service.params.as_dict(),
         "execution": {
             "backend": service.config.backend,
-            "chunk_size": service.config.chunk_size,
             "workers": service.config.workers,
         },
         "service": {
@@ -286,11 +285,16 @@ def _service_from_document(document: dict):
             metric=quality_state["metric"],
         )
 
+    # Older checkpoints also record the kernels' ``chunk_size``, which is no
+    # longer configurable; it is ignored.
     service = StreamingGatheringService(
         params=GatheringParameters(**document["params"]),
         window=document["service"]["window"],
         range_search=document["service"]["range_search"],
-        config=ExecutionConfig(**document["execution"]),
+        config=ExecutionConfig(
+            backend=document["execution"]["backend"],
+            workers=document["execution"]["workers"],
+        ),
         slack=document["service"]["slack"],
         late_policy=document["service"]["late_policy"],
         eviction=document["service"]["eviction"],

@@ -312,17 +312,6 @@ class TrajectoryDatabase:
                 self.add(traj)
 
     @classmethod
-    def _from_sample_columns(
-        cls, columns: _SampleColumns, order: np.ndarray
-    ) -> "TrajectoryDatabase":
-        """A database holding only ``columns``, iterated in ``order``."""
-        database = cls()
-        database._trajectories = None
-        database._columns = columns
-        database._order = order
-        return database
-
-    @classmethod
     def from_columns(
         cls, object_ids: np.ndarray, t: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> "TrajectoryDatabase":
@@ -346,8 +335,11 @@ class TrajectoryDatabase:
         triples = np.stack((t[order], x[order], y[order]), axis=1)
         # Objects are iterated in order of their first row.
         appearance = np.argsort(np.minimum.reduceat(order, first), kind="stable")
-        columns = _SampleColumns(sorted_ids[first], first, stop, triples)
-        return cls._from_sample_columns(columns, appearance)
+        database = cls()
+        database._trajectories = None
+        database._columns = _SampleColumns(sorted_ids[first], first, stop, triples)
+        database._order = appearance
+        return database
 
     # -- representations ------------------------------------------------------
     def _objects(self) -> Dict[int, Trajectory]:
@@ -438,26 +430,6 @@ class TrajectoryDatabase:
     # -- views ----------------------------------------------------------------
     def object_ids(self) -> List[int]:
         return sorted(self._objects())
-
-    def subset_objects(self, object_ids: Iterable[int]) -> "TrajectoryDatabase":
-        """Database restricted to the given object ids (samples shared).
-
-        Unknown ids are ignored; objects are iterated in the order given.
-        The returned database shares this one's sample columns (no sample
-        copying), so it is cheap to build one per object shard and block.
-        """
-        columns = self._sample_columns()
-        ids = np.asarray(list(object_ids), dtype=np.int64)
-        found = np.searchsorted(columns.object_ids, ids)
-        known = found < len(columns.object_ids)
-        known[known] = columns.object_ids[found[known]] == ids[known]
-        found = found[known]
-        keep, first_seen = np.unique(found, return_index=True)
-        order = np.searchsorted(keep, found[np.sort(first_seen)])
-        subset = _SampleColumns(
-            columns.object_ids[keep], columns.first[keep], columns.stop[keep], columns.triples
-        )
-        return TrajectoryDatabase._from_sample_columns(subset, order)
 
     def time_domain(self) -> Tuple[float, float]:
         """The overall ``[min_t, max_t]`` across all trajectories."""

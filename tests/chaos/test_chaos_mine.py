@@ -44,17 +44,15 @@ def _assert_no_orphans(spill_dir):
 
 
 def _pooled_spilled_mine(database, spill_dir):
-    config = ExecutionConfig(
-        backend="numpy", workers=4, object_shards=2, spill_dir=spill_dir
-    )
+    config = ExecutionConfig(backend="numpy", workers=4, spill_dir=spill_dir)
     return GatheringMiner(PARAMS, config=config).mine(database)
 
 
 class TestChaosMine:
     def test_worker_crashes_and_spill_corruption_keep_parity(self, arm, tmp_path):
-        # The acceptance scenario: mine --workers 4 --object-shards 2
-        # --spill-dir under worker crashes plus a corrupted spill column:
-        # the pool and the parent's spool recover together.
+        # The acceptance scenario: mine --workers 4 --spill-dir under worker
+        # crashes plus a corrupted spill column: the pool and the parent's
+        # spool recover together.
         database = _database()
         reference = _pooled_spilled_mine(database, str(tmp_path / "clean"))
 

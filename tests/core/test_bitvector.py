@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.bitvector import BitVector, build_signatures, popcount_tree, subsequence_mask
+from repro.core.bitvector import BitVector, build_signatures, popcount_tree
 
 
 class TestPopcountTree:
@@ -68,9 +68,9 @@ class TestBitVector:
 
     def test_count_in_mask(self):
         signature = BitVector.from_bits([1, 1, 1, 1, 0, 0, 1, 1])
-        mask = subsequence_mask(8, 0, 4)
+        mask = BitVector.from_positions(8, range(0, 4))
         assert signature.count_in_mask(mask) == 4
-        mask_tail = subsequence_mask(8, 5, 8)
+        mask_tail = BitVector.from_positions(8, range(5, 8))
         assert signature.count_in_mask(mask_tail) == 2
 
     def test_equality_and_hash(self):
@@ -80,20 +80,6 @@ class TestBitVector:
 
     def test_repr_shows_bits(self):
         assert "101" in repr(BitVector.from_bits([1, 0, 1]))
-
-
-class TestSubsequenceMask:
-    def test_mask_selects_range(self):
-        mask = subsequence_mask(6, 2, 5)
-        assert mask.bits() == [0, 0, 1, 1, 1, 0]
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            subsequence_mask(6, 3, 3)
-        with pytest.raises(ValueError):
-            subsequence_mask(6, -1, 2)
-        with pytest.raises(ValueError):
-            subsequence_mask(6, 2, 7)
 
 
 class TestBuildSignatures:

@@ -1,6 +1,5 @@
 """Tests for the BRUTE / SR / IR / GRID range-search strategies."""
 
-import numpy as np
 import pytest
 
 from repro.clustering.snapshot import SnapshotCluster

@@ -3,8 +3,9 @@
 Phase 1 clusters every snapshot independently, so a contiguous block of
 timestamps is its one unit of parallelism.  These tests pin the block plan
 of the numpy executor (two blocks per worker, each snapshot exactly once,
-in time order) and check that a pooled ``GatheringMiner`` mines exactly
-what a single-process run mines, on both backends and through the store.
+in time order) and check that a pooled ``GatheringMiner`` on the numpy
+backend mines exactly what the serial python reference mines, also through
+the store.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ def gathering_keys(result):
     return {(g.keys(), g.participator_ids) for g in result.gatherings}
 
 
-def pooled(workers, backend="python", **overrides):
+def pooled(workers):
     return GatheringMiner(
-        PARAMS, config=ExecutionConfig(backend=backend, workers=workers, **overrides)
+        PARAMS, config=ExecutionConfig(backend="numpy", workers=workers)
     )
 
 
@@ -53,13 +54,13 @@ def reference(city):
 def block_plan(monkeypatch, database, workers, timestamps=None):
     """The timestamp blocks the numpy executor interpolates, in order."""
     seen = []
-    real = phase1.build_arena_block
+    real = TrajectoryDatabase.positions_matrix
 
     def spy(db, block, **kwargs):
         seen.append(tuple(block))
         return real(db, block, **kwargs)
 
-    monkeypatch.setattr(phase1, "build_arena_block", spy)
+    monkeypatch.setattr(TrajectoryDatabase, "positions_matrix", spy)
     build_cluster_database_batched(
         database, timestamps=timestamps, eps=50.0, min_points=2, workers=workers
     )
@@ -112,7 +113,7 @@ class TestPlanning:
         with pytest.raises(ValueError):
             ExecutionConfig(workers=0)
         with pytest.raises(ValueError):
-            ExecutionConfig(object_shards=0)
+            ExecutionConfig(backend="python", workers=2)
 
 
 class TestStitchedParity:
@@ -123,12 +124,12 @@ class TestStitchedParity:
         assert gathering_keys(result) == gathering_keys(reference)
 
     def test_merged_cluster_db_matches(self, city, reference):
-        result = pooled(4, backend="numpy").mine(city)
+        result = pooled(4).mine(city)
         assert result.cluster_db.timestamps() == reference.cluster_db.timestamps()
         assert len(result.cluster_db) == len(reference.cluster_db)
 
     def test_numpy_backend_parity(self, city, reference):
-        result = pooled(3, backend="numpy").mine(city)
+        result = pooled(3).mine(city)
         assert crowd_keys(result) == crowd_keys(reference)
         assert gathering_keys(result) == gathering_keys(reference)
 
@@ -136,7 +137,7 @@ class TestStitchedParity:
 class TestStoreSink:
     def test_mine_writes_store(self, city, reference, tmp_path):
         store = PatternStore(tmp_path / "city.db")
-        result = pooled(3, backend="numpy").mine(city)
+        result = pooled(3).mine(city)
         assert result.write_to(store) == {
             "crowds": len(result.closed_crowds),
             "gatherings": len(result.gatherings),
@@ -146,7 +147,7 @@ class TestStoreSink:
 
     def test_reruns_append_idempotently(self, city, tmp_path):
         store = PatternStore(tmp_path / "city.db")
-        miner = pooled(2, backend="numpy")
+        miner = pooled(2)
         miner.mine(city).write_to(store)
         first = (store.crowd_count(), store.gathering_count())
         assert miner.mine(city).write_to(store) == {"crowds": 0, "gatherings": 0}

@@ -1,8 +1,7 @@
 """Unit tests for the disk-backed arena machinery (``engine.arena``).
 
-Covers the spool's append/finalize contract and its error paths, the
-object-id partitioner, the partial-arena merge, block sizing, and the
-layout invariants of the clustered spill that the batched phase-1
+Covers the spool's append/finalize contract and its error paths, block
+sizing, and the layout invariants of the clustered spill that the batched phase-1
 executor writes (the property suite in
 ``tests/properties/test_property_outofcore.py`` covers the bit-parity
 claims on random databases).
@@ -19,10 +18,7 @@ from repro.engine.arena import (
     DEFAULT_SPILL_BLOCK_ROWS,
     SPILL_MANIFEST,
     ArenaSpool,
-    build_arena_block,
     effective_snapshot_block,
-    merge_arenas,
-    partition_object_ids,
     verify_arena_dir,
 )
 from repro.engine.phase1 import build_cluster_database_batched
@@ -107,56 +103,6 @@ class TestArenaSpool:
                 np.zeros((1, 2)),
                 labels=np.zeros(1, dtype=np.int64),
             )
-
-
-class TestPartitionObjectIds:
-    def test_contiguous_near_equal_groups(self):
-        groups = partition_object_ids([5, 1, 9, 3, 7, 2, 8], 3)
-        assert groups == [[1, 2, 3], [5, 7], [8, 9]]
-        assert sum(len(g) for g in groups) == 7
-
-    def test_more_shards_than_objects_drops_empties(self):
-        assert partition_object_ids([2, 1], 5) == [[1], [2]]
-
-    def test_invalid_shards_rejected(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            partition_object_ids([1, 2], 0)
-
-
-class TestMergeArenas:
-    def test_merge_restores_unsharded_row_order(self):
-        database = small_database()
-        timestamps = [float(t) for t in range(8)]
-        reference = database.positions_matrix(timestamps)
-        groups = partition_object_ids(database.object_ids(), 3)
-        partials = [
-            database.subset_objects(group).positions_matrix(timestamps)
-            for group in groups
-        ]
-        merged = merge_arenas(timestamps, partials)
-        assert merged.timestamps == reference.timestamps
-        assert np.array_equal(merged.ts_index, reference.ts_index)
-        assert np.array_equal(merged.object_ids, reference.object_ids)
-        assert np.array_equal(merged.coords, reference.coords)
-        assert np.array_equal(merged.offsets, reference.offsets)
-
-    def test_merge_of_nothing_is_a_valid_empty_arena(self):
-        merged = merge_arenas([0.0, 1.0, 2.0], [])
-        assert merged.point_count == 0
-        assert np.array_equal(merged.offsets, np.zeros(4, dtype=np.int64))
-
-
-class TestBuildArenaBlock:
-    def test_single_shard_delegates_to_positions_matrix(self):
-        database = small_database()
-        timestamps = [0.0, 1.0, 2.0]
-        plain = database.positions_matrix(timestamps)
-        block = build_arena_block(database, timestamps, object_shards=1)
-        assert np.array_equal(block.coords, plain.coords)
-
-    def test_invalid_object_shards_rejected(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            build_arena_block(small_database(), [0.0], object_shards=0)
 
 
 class TestEffectiveSnapshotBlock:

@@ -16,7 +16,9 @@ from repro.core.crowd_discovery import discover_closed_crowds
 from repro.core.pipeline import GatheringMiner, IncrementalGatheringMiner
 from repro.datagen.events import GatheringEvent
 from repro.datagen.simulator import SimulationConfig, TaxiFleetSimulator
+from repro.engine.proximity import build_proximity_graph
 from repro.engine.registry import ExecutionConfig
+from repro.engine.sweep import sweep_crowds_frontier
 from repro.geometry.point import Point
 
 PARAMS = GatheringParameters(
@@ -85,15 +87,15 @@ class TestRangeSearchParity:
     def test_chunk_size_does_not_change_crowds(self, seed):
         scenario = scenario_for_seed(seed)
         cluster_db = GatheringMiner(PARAMS).cluster(scenario.database)
-        results = [
-            discover_closed_crowds(
-                cluster_db, PARAMS, strategy="GRID",
-                config=ExecutionConfig(backend="numpy", chunk_size=chunk),
-            )
+        graphs = [
+            build_proximity_graph(cluster_db, PARAMS, chunk_size=chunk)
             for chunk in (1, 3, 4096)
         ]
+        assert len({tuple(graph.indices.tolist()) for graph in graphs}) == 1
+        results = [sweep_crowds_frontier(graph, PARAMS) for graph in graphs]
         keys = {tuple(map(tuple, crowd_keys(r.closed_crowds))) for r in results}
         assert len(keys) == 1
+        assert results[0].closed_crowds
 
 
 class TestEndToEndParity:

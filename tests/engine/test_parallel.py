@@ -1,4 +1,10 @@
-"""Tests for multiprocessing phase-1 clustering."""
+"""Tests for multiprocessing phase-1 clustering.
+
+Only the batched numpy path runs on a worker pool; the scalar per-snapshot
+loop is its serial reference.
+"""
+
+import pytest
 
 from repro.clustering.snapshot import build_cluster_database
 from repro.core.config import GatheringParameters
@@ -21,7 +27,7 @@ class TestParallelClustering:
         database = small_database()
         serial = build_cluster_database(database, eps=200.0, min_points=3)
         parallel = build_cluster_database(
-            database, eps=200.0, min_points=3, workers=2
+            database, eps=200.0, min_points=3, method="numpy", workers=2
         )
         assert cluster_keys(parallel) == cluster_keys(serial)
 
@@ -29,9 +35,13 @@ class TestParallelClustering:
         database = small_database()
         serial = build_cluster_database(database, eps=200.0, min_points=3)
         inline = build_cluster_database(
-            database, eps=200.0, min_points=3, workers=1
+            database, eps=200.0, min_points=3, method="numpy", workers=1
         )
         assert cluster_keys(inline) == cluster_keys(serial)
+
+    def test_scalar_methods_reject_a_pool(self):
+        with pytest.raises(ValueError, match="numpy"):
+            build_cluster_database(small_database(), eps=200.0, min_points=3, workers=2)
 
     def test_miner_uses_workers_from_config(self):
         database = small_database()

@@ -227,7 +227,6 @@ class TestPositionsMatrixEdges:
         for start in range(0, len(timestamps), 7):
             block = timestamps[start : start + 7]
             _assert_matches_snapshots(database, block)
-            _assert_matches_snapshots(database.subset_objects([4, 2, 99]), block)
 
 
 class TestFrameBackedCluster:

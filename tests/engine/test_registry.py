@@ -32,11 +32,14 @@ class TestExecutionConfig:
         with pytest.raises(ValueError):
             ExecutionConfig(backend="fortran")
 
-    def test_rejects_bad_chunk_and_workers(self):
-        with pytest.raises(ValueError):
-            ExecutionConfig(chunk_size=0)
+    def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
             ExecutionConfig(workers=0)
+        with pytest.raises(ValueError, match="numpy"):
+            ExecutionConfig(backend="python", workers=2)
+        with pytest.raises(ValueError, match="numpy"):
+            ExecutionConfig(backend="python", spill_dir="spill")
+        assert ExecutionConfig(backend="python").workers == 1
 
 
 class TestBuiltinRegistrations:

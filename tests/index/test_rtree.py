@@ -1,6 +1,5 @@
 """Tests for the from-scratch R-tree."""
 
-import numpy as np
 import pytest
 
 from repro.geometry.mbr import MBR

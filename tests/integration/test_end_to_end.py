@@ -1,12 +1,14 @@
 """Integration tests: raw trajectories in, closed gatherings out."""
 
+import math
+
 import pytest
 
-from repro.analysis.statistics import gathering_statistics
 from repro.core.config import GatheringParameters
 from repro.core.pipeline import GatheringMiner, IncrementalGatheringMiner
 from repro.datagen.events import GatheringEvent, TransientCrowdEvent
 from repro.datagen.simulator import SimulationConfig, TaxiFleetSimulator
+from repro.geometry.mbr import mbr_of_points
 from repro.geometry.point import Point
 from repro.trajectory.io import load_csv, save_csv
 
@@ -69,11 +71,15 @@ class TestEndToEnd:
 
     def test_statistics_of_found_gatherings(self, mixed_scenario, params):
         result = GatheringMiner(params).mine(mixed_scenario.database)
-        stats = gathering_statistics(result.gatherings)
-        assert stats.count == result.gathering_count()
-        assert stats.max_lifetime >= params.kc
-        # The gathering stays within a few hundred metres of its centre.
-        assert stats.mean_extent < 2000.0
+        assert result.gatherings
+        assert max(g.lifetime for g in result.gatherings) >= params.kc
+        # The gatherings stay within a few hundred metres of their centres:
+        # the mean diagonal of their member bounding boxes is small.
+        extents = []
+        for gathering in result.gatherings:
+            box = mbr_of_points(p for cluster in gathering.crowd for p in cluster.points())
+            extents.append(math.hypot(box.width, box.height))
+        assert sum(extents) / len(extents) < 2000.0
 
     def test_incremental_pipeline_matches_batch(self, mixed_scenario, params):
         batch = GatheringMiner(params)

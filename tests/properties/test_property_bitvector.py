@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitvector import BitVector, popcount_tree, subsequence_mask
+from repro.core.bitvector import BitVector, popcount_tree
 
 
 class TestPopcountProperties:
@@ -30,7 +30,7 @@ class TestMaskProperties:
         start = data.draw(st.integers(min_value=0, max_value=width - 1))
         end = data.draw(st.integers(min_value=start + 1, max_value=width))
         signature = BitVector.from_bits(bits)
-        mask = subsequence_mask(width, start, end)
+        mask = BitVector.from_positions(width, range(start, end))
         assert signature.count_in_mask(mask) == sum(bits[start:end])
 
     @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=64))

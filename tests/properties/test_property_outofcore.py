@@ -4,12 +4,9 @@ The spilled phase-1 path (``engine.arena`` + ``spill_dir``) claims *exact*
 answer parity with the in-RAM batched builder: same cluster databases
 (ids, member maps with bit-identical interpolated coordinates), same
 crowds, same gatherings, same store round-trips — while its frames are
-read-only ``np.memmap`` slices of on-disk columns.  Object-space sharding
-(``object_shards``) makes the same claim: partial arenas are merged back
-into the unsharded row order before DBSCAN ever runs, so it cannot change
-the answer.  These properties drive random irregular databases through
-every combination surface: spill block sizes, ``object_shards × workers``
-grids, and the pattern store.
+read-only ``np.memmap`` slices of on-disk columns.  These properties drive
+random irregular databases through every combination surface: spill block
+sizes, ``snapshot_block × workers`` grids, and the pattern store.
 
 Spill directories are created with ``tempfile.TemporaryDirectory`` inside
 the test bodies (hypothesis forbids function-scoped fixtures such as
@@ -146,25 +143,14 @@ class TestSpilledArenaParity:
             )
             _assert_cluster_dbs_identical(in_ram, spilled)
 
-    @given(trajectory_databases(), st.integers(min_value=2, max_value=4))
-    @settings(max_examples=15, deadline=None)
-    def test_object_sharded_clustering_identical(self, database, object_shards):
-        in_ram = build_cluster_database_batched(database, eps=150.0, min_points=2)
-        sharded = build_cluster_database_batched(
-            database, eps=150.0, min_points=2, object_shards=object_shards
-        )
-        _assert_cluster_dbs_identical(in_ram, sharded)
-
 
 class TestOutOfCoreMiningParity:
-    @given(trajectory_databases(), st.integers(min_value=1, max_value=4))
+    @given(trajectory_databases())
     @settings(max_examples=10, deadline=None)
-    def test_mmap_mining_matches_in_ram(self, database, object_shards):
+    def test_mmap_mining_matches_in_ram(self, database):
         reference = GatheringMiner(LOOSE_PARAMS, config=NUMPY).mine(database)
         with tempfile.TemporaryDirectory() as spill_dir:
-            config = ExecutionConfig(
-                backend="numpy", spill_dir=spill_dir, object_shards=object_shards
-            )
+            config = ExecutionConfig(backend="numpy", spill_dir=spill_dir)
             out_of_core = GatheringMiner(LOOSE_PARAMS, config=config).mine(database)
             assert mining_answer(out_of_core) == mining_answer(reference)
             _assert_cluster_dbs_identical(
@@ -173,20 +159,19 @@ class TestOutOfCoreMiningParity:
 
     @given(
         trajectory_databases(),
-        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=1, max_value=4),
         st.integers(min_value=1, max_value=2),
     )
     @settings(max_examples=10, deadline=None)
-    def test_object_by_snapshot_shard_grid(self, database, object_shards, workers):
-        """The full grid: object shards × snapshot blocks on workers × spill."""
+    def test_snapshot_block_by_worker_grid(self, database, block, workers):
+        """The full grid: snapshot blocks on workers × spill."""
         reference = GatheringMiner(LOOSE_PARAMS, config=NUMPY).mine(database)
         with tempfile.TemporaryDirectory() as spill_dir:
             cluster_db = build_cluster_database_batched(
                 database,
                 eps=LOOSE_PARAMS.eps,
                 min_points=LOOSE_PARAMS.min_points,
-                snapshot_block=2,
-                object_shards=object_shards,
+                snapshot_block=block,
                 spill_dir=spill_dir,
                 workers=workers,
             )

@@ -8,8 +8,8 @@ properties drive randomized trajectory databases (irregular sampling, so
 virtual-point interpolation is exercised hard) through the batched builder
 and every surface that consumes its output: direct clustering, the pooled
 miner, streaming windows, and codec/store round-trips.  Gappy feeds, whose
-sampling gaps span many blocks, go through every combination of workers,
-spill and object shards.
+sampling gaps span many blocks, go through every combination of workers
+and spill.
 """
 
 import tempfile
@@ -139,11 +139,11 @@ class TestBatchedPhase1ThroughPipelines:
     @given(trajectory_databases(), st.integers(min_value=2, max_value=4))
     @settings(max_examples=10, deadline=None)
     def test_sharded_mining_parity(self, database, workers):
-        # Scalar-vs-batched parity through the pooled one-shot miner: one
-        # snapshot per job on the python backend, one block per job on numpy.
+        # Batched-vs-scalar parity through the one-shot miner: one block per
+        # job on a numpy worker pool against the serial python reference.
         results = {}
-        for backend in ("python", "numpy"):
-            config = ExecutionConfig(backend=backend, workers=workers)
+        for backend, pool in (("python", 1), ("numpy", workers)):
+            config = ExecutionConfig(backend=backend, workers=pool)
             result = GatheringMiner(LOOSE_PARAMS, config=config).mine(database)
             results[backend] = (
                 crowd_keys(result.closed_crowds),
@@ -268,26 +268,24 @@ class TestGappyFeedParity:
         )
         for workers in (1, 2):
             for spill in (False, True):
-                for object_shards in (1, 3):
-                    with tempfile.TemporaryDirectory() as spill_dir:
-                        cluster_db = build_cluster_database_batched(
-                            database,
-                            eps=LOOSE_PARAMS.eps,
-                            min_points=LOOSE_PARAMS.min_points,
-                            snapshot_block=block,
-                            object_shards=object_shards,
-                            spill_dir=spill_dir if spill else None,
-                            workers=workers,
-                        )
-                        _assert_cluster_dbs_identical(reference.cluster_db, cluster_db)
-                        result = GatheringMiner(
-                            LOOSE_PARAMS, config=NUMPY
-                        ).mine_clusters(cluster_db)
-                        axes = (workers, spill, object_shards)
-                        assert (
-                            crowd_keys(result.closed_crowds),
-                            gathering_keys(result.gatherings),
-                        ) == expected, axes
+                with tempfile.TemporaryDirectory() as spill_dir:
+                    cluster_db = build_cluster_database_batched(
+                        database,
+                        eps=LOOSE_PARAMS.eps,
+                        min_points=LOOSE_PARAMS.min_points,
+                        snapshot_block=block,
+                        spill_dir=spill_dir if spill else None,
+                        workers=workers,
+                    )
+                    _assert_cluster_dbs_identical(reference.cluster_db, cluster_db)
+                    result = GatheringMiner(
+                        LOOSE_PARAMS, config=NUMPY
+                    ).mine_clusters(cluster_db)
+                    axes = (workers, spill)
+                    assert (
+                        crowd_keys(result.closed_crowds),
+                        gathering_keys(result.gatherings),
+                    ) == expected, axes
 
 
 def test_megacity_quick_mines_the_same_on_every_executor(tmp_path):

@@ -1,4 +1,8 @@
-"""Property: pooled phase-1 mining equals single-process mining on random scenarios."""
+"""Property: pooled numpy phase-1 mining equals the serial python reference.
+
+Random scenarios, mined once by the scalar per-snapshot loop in-process and
+once by the batched numpy executor on a worker pool.
+"""
 
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ scenario_strategy = st.builds(
 def test_shard_stitched_mining_matches_unsharded(scenario, workers):
     database = scenario.database
     reference = GatheringMiner(PARAMS).mine(database)
-    config = ExecutionConfig(backend="python", workers=workers)
+    config = ExecutionConfig(backend="numpy", workers=workers)
     pooled = GatheringMiner(PARAMS, config=config).mine(database)
 
     assert {c.keys() for c in pooled.closed_crowds} == {

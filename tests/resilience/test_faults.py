@@ -9,12 +9,10 @@ import pytest
 
 from repro.resilience.faults import (
     FAULT_PLAN_ENV,
-    FaultError,
     FaultPlan,
     FaultSpec,
     active_plan,
     clear_plan,
-    fault_point,
     install_plan,
     maybe_fault,
 )
@@ -90,12 +88,6 @@ class TestProcessWideArming:
         assert maybe_fault("site") is None  # times=1 exhausted
         clear_plan()
         assert active_plan() is None
-
-    def test_fault_point_raises(self):
-        install_plan(FaultPlan([FaultSpec("boom")]))
-        with pytest.raises(FaultError, match="boom"):
-            fault_point("boom")
-        fault_point("boom")  # second hit: exhausted, no raise
 
     def test_environment_arming_is_lazy(self):
         os.environ[FAULT_PLAN_ENV] = "env.site:1"

@@ -118,6 +118,27 @@ class TestMine:
         assert "'SR'" in captured.err and "--backend python" in captured.err
         assert "nope.csv" not in captured.err
 
+    @pytest.mark.parametrize("command", ("mine", "stream", "compare"))
+    def test_python_backend_rejects_workers_before_loading(
+        self, command, tmp_path, capsys
+    ):
+        # The python backend is the serial in-RAM reference: a worker pool
+        # or a spill is a configuration error, reported before the (missing)
+        # input is read.
+        for flags in (["--workers", "2"], ["--spill-dir", str(tmp_path / "spill")]):
+            exit_code = main(
+                [command, "--input", str(tmp_path / "nope.csv"), "--backend", "python", *flags]
+            )
+            captured = capsys.readouterr()
+            assert exit_code == 1
+            assert "numpy" in captured.err
+            assert "nope.csv" not in captured.err
+        # The knobs that changed nothing are gone.
+        for flag in ("--chunk-size", "--object-shards"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--input", str(tmp_path / "nope.csv"), flag, "2"])
+            assert excinfo.value.code == 2
+
     def test_python_backend_mines_with_a_scalar_scheme(self, fleet_csv, tmp_path, capsys):
         flags = ["--kc", "10", "--kp", "6", "--mp", "4", "--mc", "5"]
         numpy_json, python_json = tmp_path / "numpy.json", tmp_path / "python.json"

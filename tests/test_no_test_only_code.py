@@ -50,8 +50,6 @@ ALLOWLIST: Dict[str, str] = {
     "crowd discovery; exported from the top-level package",
     "repro.core.bitvector.popcount_tree": "the paper's popcount tree, the baseline "
     "of the bit-count ablation benchmark",
-    "repro.core.bitvector.subsequence_mask": "bit-vector mask of a snapshot range, "
-    "part of the BitVector API",
     "repro.core.codec.crowd_fingerprint": "a crowd's store key without a store; "
     "the codec parity tests pin cluster_fragments to it",
     "repro.core.codec.gathering_fingerprint": "a gathering's store key without a "
@@ -59,11 +57,7 @@ ALLOWLIST: Dict[str, str] = {
     # The fault-injection harness: named sites are armed from tests and CI.
     "repro.resilience.faults.clear_plan": "disarms the active plan; the reset "
     "of the fault fixtures",
-    "repro.resilience.faults.fault_point": "raise-on-fire probe for a named site",
-    "repro.resilience.faults.FaultError": "the exception fault_point raises",
     # Library modules with no CLI subcommand.
-    "repro.analysis.statistics": "summary statistics of mined patterns",
-    "repro.analysis.time_periods": "the paper's time-of-day periods",
     "repro.datagen.synthetic": "cluster-level workloads that the paper-figure "
     "benchmarks and the phase-2/3 tests feed",
 }
