@@ -1034,15 +1034,7 @@ def _next_bench_path() -> str:
 
 
 def _command_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        ProfileCollector,
-        diff_against_baseline,
-        format_diff_rows,
-        load_bench_json,
-        regressions,
-        run_bench,
-        write_bench_json,
-    )
+    from .bench import ProfileCollector, load_bench_json, run_bench, write_bench_json
 
     output = args.output or _next_bench_path()
     baseline = load_bench_json(args.baseline) if args.baseline else None
@@ -1085,41 +1077,7 @@ def _command_bench(args: argparse.Namespace) -> int:
             print(f"wrote merged profile to {args.profile_out}", file=sys.stderr)
 
     if baseline is not None:
-        rows = diff_against_baseline(payload, baseline)
-        if not rows:
-            # An empty diff means the gate compared nothing (renamed
-            # scenario, non-overlapping --scenario/--backend selection,
-            # stale baseline) — passing silently would disarm it.
-            print(
-                f"REGRESSION CHECK INVALID: no (scenario, backend) overlap "
-                f"between this run and {args.baseline}; nothing was compared",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"\nbaseline diff vs {args.baseline} "
-              f"(tolerance {args.regress_tolerance:.0%}):")
-        for line in format_diff_rows(rows):
-            print(f"  {line}")
-        slower = regressions(
-            rows, args.regress_tolerance, min_seconds=args.regress_min_seconds
-        )
-        if slower:
-            worst = max(
-                slower,
-                key=lambda row: row["ratio"] if row["ratio"] is not None
-                else float("inf"),
-            )
-            ratio = (
-                f"{worst['ratio']:.2f}x" if worst["ratio"] is not None else "inf"
-            )
-            print(
-                f"REGRESSION: {len(slower)} phase timing(s) past tolerance; worst: "
-                f"{worst['scenario']}/{worst['backend']}/{worst['phase']} "
-                f"{ratio} baseline",
-                file=sys.stderr,
-            )
-            return 1
-        print("no regressions past tolerance")
+        return _baseline_gate(payload, baseline, args, "this run", "phase timing(s)")
     return 0
 
 
@@ -1140,13 +1098,7 @@ def _seed_loadtest_store(directory: Path):
 def _command_loadtest(args: argparse.Namespace) -> int:
     import tempfile
 
-    from .bench import (
-        diff_against_baseline,
-        format_diff_rows,
-        load_bench_json,
-        regressions,
-        write_bench_json,
-    )
+    from .bench import load_bench_json, write_bench_json
     from .loadtest import (
         SERVER_ROW,
         WorkloadConfig,
@@ -1211,36 +1163,56 @@ def _command_loadtest(args: argparse.Namespace) -> int:
 
     if args.baseline:
         baseline = load_bench_json(args.baseline)
-        rows = diff_against_baseline(payload, baseline)
-        if not rows:
-            print(
-                f"REGRESSION CHECK INVALID: no (scenario, backend) overlap "
-                f"between this loadtest and {args.baseline}; nothing was compared",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"\nbaseline diff vs {args.baseline} "
-              f"(tolerance {args.regress_tolerance:.0%}):")
-        for line in format_diff_rows(rows):
-            print(f"  {line}")
-        slower = regressions(
-            rows, args.regress_tolerance, min_seconds=args.regress_min_seconds
+        return _baseline_gate(
+            payload, baseline, args, "this loadtest", "serving metric(s)"
         )
-        if slower:
-            worst = max(
-                slower,
-                key=lambda row: row["ratio"] if row["ratio"] is not None
-                else float("inf"),
-            )
-            ratio = f"{worst['ratio']:.2f}x" if worst["ratio"] is not None else "inf"
-            print(
-                f"REGRESSION: {len(slower)} serving metric(s) past tolerance; worst: "
-                f"{worst['scenario']}/{worst['backend']}/{worst['phase']} "
-                f"{ratio} baseline",
-                file=sys.stderr,
-            )
-            return 1
-        print("no regressions past tolerance")
+    return 0
+
+
+def _baseline_gate(
+    payload: dict, baseline: dict, args: argparse.Namespace, run: str, metrics: str
+) -> int:
+    """Print the diff of ``payload`` against ``baseline``; the exit status.
+
+    Returns 1 when a row regressed past ``--regress-tolerance`` or when no
+    (scenario, backend) row overlaps; ``run`` and ``metrics`` name the
+    compared run and its rows in the messages.
+    """
+    from .bench import diff_against_baseline, format_diff_rows, regressions
+
+    rows = diff_against_baseline(payload, baseline)
+    if not rows:
+        # An empty diff means the gate compared nothing (renamed
+        # scenario, non-overlapping --scenario/--backend selection,
+        # stale baseline) — passing silently would disarm it.
+        print(
+            f"REGRESSION CHECK INVALID: no (scenario, backend) overlap "
+            f"between {run} and {args.baseline}; nothing was compared",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"\nbaseline diff vs {args.baseline} "
+          f"(tolerance {args.regress_tolerance:.0%}):")
+    for line in format_diff_rows(rows):
+        print(f"  {line}")
+    slower = regressions(
+        rows, args.regress_tolerance, min_seconds=args.regress_min_seconds
+    )
+    if slower:
+        worst = max(
+            slower,
+            key=lambda row: row["ratio"] if row["ratio"] is not None
+            else float("inf"),
+        )
+        ratio = f"{worst['ratio']:.2f}x" if worst["ratio"] is not None else "inf"
+        print(
+            f"REGRESSION: {len(slower)} {metrics} past tolerance; worst: "
+            f"{worst['scenario']}/{worst['backend']}/{worst['phase']} "
+            f"{ratio} baseline",
+            file=sys.stderr,
+        )
+        return 1
+    print("no regressions past tolerance")
     return 0
 
 

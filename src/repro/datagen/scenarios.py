@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from ..geometry.point import Point
-from ..trajectory.trajectory import Trajectory, TrajectoryDatabase
+from ..trajectory.trajectory import TrajectoryDatabase
 from .events import GatheringEvent, TransientCrowdEvent, TravelingGroupEvent
 from .road_network import RoadNetwork
 from .simulator import SimulationConfig, SimulationResult, TaxiFleetSimulator
@@ -225,8 +225,8 @@ def arrival_stream(
     rng = np.random.default_rng(seed)
     points = []
     for trajectory in database:
-        for t, point in trajectory:
-            points.append((trajectory.object_id, t, point.x, point.y))
+        for t, x, y in trajectory.sample_triples().tolist():
+            points.append((trajectory.object_id, t, x, y))
     points.sort(key=lambda row: (row[1], row[0]))
 
     arrivals = np.asarray([row[1] for row in points], dtype=float)
@@ -388,9 +388,9 @@ def megacity_scenario(
       7 objects/km²) that DBSCAN at the paper's ``eps=200 m`` sees mostly
       noise plus the engineered events, rather than one giant component.
 
-    All coordinates are drawn vectorized; only the final
-    :class:`~repro.trajectory.trajectory.Trajectory` assembly loops over
-    objects.  Returns a :class:`~repro.datagen.simulator.SimulationResult`
+    All coordinates are drawn vectorized and the database is built from
+    them in one :meth:`~repro.trajectory.trajectory.TrajectoryDatabase.from_columns`
+    call.  Returns a :class:`~repro.datagen.simulator.SimulationResult`
     whose ``event_members`` maps each district event to its participant
     ids, like the simulator-backed scenarios.
     """
@@ -411,7 +411,14 @@ def megacity_scenario(
         centers_x[district] = (col + 1.0) * cell + float(rng.uniform(-0.1, 0.1)) * cell
         centers_y[district] = (row + 1.0) * cell + float(rng.uniform(-0.1, 0.1)) * cell
 
-    database = TrajectoryDatabase()
+    # Every object has four samples, collected object-major as one
+    # (ids, t, x, y) block per group; the database is built once from them.
+    blocks = []
+
+    def add_objects(first_id: int, times: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> None:
+        ids = np.repeat(np.arange(first_id, first_id + len(xs)), 4)
+        blocks.append((ids, times.ravel(), xs.ravel(), ys.ravel()))
+
     gathering_events: List[GatheringEvent] = []
     event_members: Dict[int, Set[int]] = {}
     span = max(duration // 3, 10)
@@ -433,43 +440,29 @@ def megacity_scenario(
         park_y = centers_y[district] + radius * np.sin(angle)
         approach = rng.uniform(0.0, extent, size=(participants, 2))
         depart = rng.uniform(0.0, extent, size=(participants, 2))
-        members = set()
-        for i in range(participants):
-            parked = Point(float(park_x[i]), float(park_y[i]))
-            database.add(
-                Trajectory(
-                    object_id=object_id,
-                    samples=[
-                        (0.0, Point(float(approach[i, 0]), float(approach[i, 1]))),
-                        (float(start), parked),
-                        (float(end), parked),
-                        (last, Point(float(depart[i, 0]), float(depart[i, 1]))),
-                    ],
-                )
-            )
-            members.add(object_id)
-            object_id += 1
-        event_members[district] = members
+        add_objects(
+            object_id,
+            np.tile([0.0, float(start), float(end), last], participants),
+            np.stack((approach[:, 0], park_x, park_x, depart[:, 0]), axis=1),
+            np.stack((approach[:, 1], park_y, park_y, depart[:, 1]), axis=1),
+        )
+        event_members[district] = set(range(object_id, object_id + participants))
+        object_id += participants
 
     # Background traffic: four waypoints per object, endpoints pinned to
     # the full time domain, interior instants off the snapshot grid.
     background = fleet_size - object_id
     waypoints = rng.uniform(0.0, extent, size=(background, 4, 2))
     interior = np.sort(rng.uniform(0.5, last - 0.5, size=(background, 2)), axis=1)
-    for i in range(background):
-        t1, t2 = float(interior[i, 0]), float(interior[i, 1])
-        database.add(
-            Trajectory(
-                object_id=object_id,
-                samples=[
-                    (0.0, Point(float(waypoints[i, 0, 0]), float(waypoints[i, 0, 1]))),
-                    (t1, Point(float(waypoints[i, 1, 0]), float(waypoints[i, 1, 1]))),
-                    (t2, Point(float(waypoints[i, 2, 0]), float(waypoints[i, 2, 1]))),
-                    (last, Point(float(waypoints[i, 3, 0]), float(waypoints[i, 3, 1]))),
-                ],
-            )
-        )
-        object_id += 1
+    add_objects(
+        object_id,
+        np.column_stack((np.zeros(background), interior, np.full(background, last))),
+        waypoints[:, :, 0],
+        waypoints[:, :, 1],
+    )
+    database = TrajectoryDatabase.from_columns(
+        *(np.concatenate(column) for column in zip(*blocks))
+    )
 
     config = SimulationConfig(fleet_size=fleet_size, duration=duration)
     return SimulationResult(

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..geometry.point import Point
-from ..trajectory.trajectory import Trajectory, TrajectoryDatabase
+from ..trajectory.trajectory import TrajectoryDatabase
 from .events import GatheringEvent, TransientCrowdEvent, TravelingGroupEvent
 from .road_network import RoadNetwork
 
@@ -397,16 +397,9 @@ class TaxiFleetSimulator:
     def _to_database(
         self, positions: np.ndarray, observed: np.ndarray, config: SimulationConfig
     ) -> TrajectoryDatabase:
-        database = TrajectoryDatabase()
-        n, duration, _ = positions.shape
-        for oid in range(n):
-            samples = []
-            for t in range(duration):
-                if not observed[oid, t]:
-                    continue
-                timestamp = config.start_time + t * config.time_step
-                x, y = positions[oid, t]
-                samples.append((timestamp, Point(float(x), float(y))))
-            if samples:
-                database.add(Trajectory(object_id=oid, samples=samples))
-        return database
+        # One row per observed (object, step), object-major: the objects
+        # appear in id order with their samples in time order.
+        object_ids, steps = np.nonzero(observed)
+        x, y = positions[object_ids, steps].T
+        times = config.start_time + steps * config.time_step
+        return TrajectoryDatabase.from_columns(object_ids, times, x, y)

@@ -78,43 +78,6 @@ class GridIndex:
             index.add(cluster)
         return index
 
-    @classmethod
-    def build_columnar(
-        cls, clusters: Iterable[SnapshotCluster], delta: float
-    ) -> "GridIndex":
-        """Build the index with one vectorized bucketing pass per cluster.
-
-        Produces exactly the same structures as :meth:`build` (which remains
-        the scalar reference path) but computes every member's cell with the
-        :func:`repro.engine.kernels.bucket_cells` kernel instead of a
-        per-point loop.
-        """
-        import numpy as np
-
-        from ..engine.kernels import bucket_cells
-
-        index = cls(delta)
-        for cluster in clusters:
-            key = cluster.key()
-            if key in index._clusters:
-                raise ValueError(f"cluster {key} already indexed")
-            points = cluster.points()
-            coords = np.asarray([(p.x, p.y) for p in points], dtype=float)
-            cells = bucket_cells(coords, index.cell_size)
-            order = np.lexsort((cells[:, 1], cells[:, 0]))
-            sorted_cells = cells[order]
-            boundaries = np.flatnonzero((np.diff(sorted_cells, axis=0) != 0).any(axis=1)) + 1
-            occupied: Set[Cell] = set()
-            for group in np.split(order, boundaries):
-                cell = (int(cells[group[0], 0]), int(cells[group[0], 1]))
-                occupied.add(cell)
-                index._points_by_cell[(key, cell)] = [points[int(i)] for i in group]
-            index._cell_lists[key] = frozenset(occupied)
-            index._clusters[key] = cluster
-            for cell in occupied:
-                index._inverted[cell].append(key)
-        return index
-
     def cell_of(self, point: Point) -> Cell:
         return (int(math.floor(point.x / self.cell_size)), int(math.floor(point.y / self.cell_size)))
 

@@ -19,7 +19,6 @@ _DEFAULT_NAMES = (
     "request_timeouts",
     "dropped_connections",
     "locked_retries",
-    "ingest_rejected",
 )
 
 

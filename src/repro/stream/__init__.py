@@ -2,8 +2,8 @@
 
 The package wraps the incremental miners of Section III-C into a
 production-shaped lifecycle — windowed ingestion, bounded-memory eviction
-(Lemma 4), versioned checkpoint/restore and a backpressure-aware replay
-driver.  See :mod:`repro.stream.service` for the semantics and
+(Lemma 4), versioned checkpoint/restore and a batched replay driver.
+See :mod:`repro.stream.service` for the semantics and
 ``docs/streaming.md`` for the operator-level guide.
 """
 

@@ -351,5 +351,9 @@ def _service_from_document(document: dict):
     ]
     service._frozen_keys = {crowd.keys() for crowd in service._frozen_crowds}
 
-    service.stats = StreamStats(**document["stats"])
+    # Older checkpoints also count ``backpressure_events``, which the replay
+    # driver no longer records; it is dropped like ``chunk_size``.
+    stats = dict(document["stats"])
+    stats.pop("backpressure_events", None)
+    service.stats = StreamStats(**stats)
     return service

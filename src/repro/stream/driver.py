@@ -1,17 +1,11 @@
-"""Backpressure-aware replay driver for point feeds.
+"""Replay driver for point feeds.
 
 :class:`ReplayDriver` pulls a feed (any iterable of ``(object_id, t, x, y)``
 fixes in arrival order) through a :class:`StreamingGatheringService` in
-bounded batches.  Chunking the arrivals serves two purposes:
-
-* each accepted batch flows through the engine's batched kernels when its
-  window closes (one :class:`~repro.engine.registry.ExecutionConfig`-sized
-  clustering / range-search pass per window, not one per point);
-* the driver observes the service's pending-buffer depth after every batch —
-  the stream-side backpressure signal.  In this pull-based replay the driver
-  *is* the producer, so crossing ``max_pending_points`` is recorded in the
-  stats (``backpressure_events``) rather than blocking; a push-based
-  deployment would propagate the same signal to throttle its upstream.
+bounded batches, so the driver-side working set stays one batch however
+long the feed is.  Each closed window still flows through the engine's
+batched kernels (one clustering / range-search pass per window, not one
+per point).
 
 The driver also owns the checkpoint cadence: with ``checkpoint_every`` set
 it writes a checkpoint after every N closed windows, which is what the
@@ -64,8 +58,6 @@ class ReplayDriver:
     checkpoint_keep:
         Rotated previous checkpoints kept next to ``checkpoint_path``
         (restore falls back to them when the primary is corrupted).
-    max_pending_points:
-        Backpressure high-watermark on the service's pending buffer.
     """
 
     def __init__(
@@ -75,7 +67,6 @@ class ReplayDriver:
         checkpoint_path: Optional[Union[str, Path]] = None,
         checkpoint_every: Optional[int] = None,
         checkpoint_keep: int = 1,
-        max_pending_points: Optional[int] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
@@ -91,7 +82,6 @@ class ReplayDriver:
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
         self.checkpoint_keep = int(checkpoint_keep)
-        self.max_pending_points = max_pending_points
 
     def replay(self, feed: Iterable[PointLike], finish: bool = True) -> ReplayReport:
         """Ingest the whole feed; optionally flush the final partial window.
@@ -113,11 +103,6 @@ class ReplayDriver:
                 break
             service.ingest_many(batch)
             points += len(batch)
-            if (
-                self.max_pending_points is not None
-                and service.pending_points > self.max_pending_points
-            ):
-                service.stats.backpressure_events += 1
             if (
                 self.checkpoint_every is not None
                 and service.stats.windows_closed - windows_at_last_checkpoint

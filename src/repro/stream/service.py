@@ -106,7 +106,6 @@ class StreamStats:
     gatherings_frozen: int = 0
     peak_pending_points: int = 0
     peak_retained_clusters: int = 0
-    backpressure_events: int = 0
     #: Accumulated proximity-graph build seconds across window sweeps
     #: (non-zero on every numpy-backend run; zero on the scalar backend,
     #: which builds no proximity graph).
@@ -130,7 +129,6 @@ class StreamStats:
             "gatherings_frozen": self.gatherings_frozen,
             "peak_pending_points": self.peak_pending_points,
             "peak_retained_clusters": self.peak_retained_clusters,
-            "backpressure_events": self.backpressure_events,
             "proximity_seconds": self.proximity_seconds,
             "points_rejected": self.points_rejected,
             "points_repaired": self.points_repaired,
@@ -199,10 +197,6 @@ class StreamingGatheringService:
         dedup, splitting — are meaningless on a live frontier, where
         ordering is already governed by slack and the late-point policy).
         ``None`` disables the firewall entirely.
-    counters:
-        Optional :class:`~repro.resilience.counters.ResilienceCounters`;
-        every rejected live point also increments its ``ingest_rejected``
-        counter so embedding processes surface rejections on ``/stats``.
     """
 
     def __init__(
@@ -216,7 +210,6 @@ class StreamingGatheringService:
         eviction: str = "frozen",
         store=None,
         quality: Optional[QualityConfig] = None,
-        counters=None,
     ) -> None:
         if window < 1:
             raise ValueError("window must span at least one snapshot")
@@ -238,7 +231,6 @@ class StreamingGatheringService:
         self.late_policy = late_policy
         self.eviction = eviction
         self.quality = quality
-        self.counters = counters
         # Last accepted fix per object (max-t), for the teleport gate.
         self._last_valid: Dict[int, Tuple[float, float, float]] = {}
 
@@ -339,8 +331,6 @@ class StreamingGatheringService:
         self.stats.rejected_by_rule[reason] = (
             self.stats.rejected_by_rule.get(reason, 0) + 1
         )
-        if self.counters is not None:
-            self.counters.increment("ingest_rejected")
 
     def _check_point(self, point: StreamPoint) -> Optional[StreamPoint]:
         """Validate one live point; the (possibly clamped) point, or ``None``.

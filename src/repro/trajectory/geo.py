@@ -108,10 +108,11 @@ def project_database(
         ]
         projection = LocalProjection.for_fixes(fixes)
 
-    projected = TrajectoryDatabase()
-    for trajectory in database:
-        samples = [
-            (t, projection.to_plane(lat=point.y, lon=point.x)) for t, point in trajectory
-        ]
-        projected.add(Trajectory(object_id=trajectory.object_id, samples=samples))
+    projected = TrajectoryDatabase(
+        Trajectory(
+            trajectory.object_id,
+            [(t, projection.to_plane(lat=point.y, lon=point.x)) for t, point in trajectory],
+        )
+        for trajectory in database
+    )
     return projected, projection

@@ -2,10 +2,12 @@
 
 The paper's object database ``O_DB`` is a set of trajectories, each a finite
 sequence of timestamped locations possibly with different lengths and
-sampling rates.  :class:`Trajectory` stores one object's samples;
-:class:`TrajectoryDatabase` stores a fleet and can answer "where was every
-object at time t?" — the operation the snapshot-clustering phase needs —
-using the linear-interpolation model of Section II.
+sampling rates.  :class:`TrajectoryDatabase` stores a fleet as one set of
+sample columns and answers "where was every object at time t?" — the
+operation the snapshot-clustering phase needs — using the
+linear-interpolation model of Section II.  :class:`Trajectory` is one
+object's samples: a read-only view of the database's rows, or a standalone
+trajectory a database is built from.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from ..geometry.interpolation import interpolate_position
 from ..geometry.point import Point
+from ..quality.columns import object_id_column
 
 __all__ = ["Trajectory", "TrajectoryDatabase", "PositionArena"]
 
@@ -65,49 +68,54 @@ class PositionArena:
         return int(self.offsets[index]), int(self.offsets[index + 1])
 
 
-class Trajectory:
-    """A single moving object's trajectory.
+def _by_time(rows: Sequence[Tuple[float, float, float]]) -> np.ndarray:
+    """``(t, x, y)`` rows as a read-only ``(n, 3)`` array, stably sorted by time."""
+    triples = np.asarray(rows, dtype=float).reshape(-1, 3)
+    triples = triples[np.argsort(triples[:, 0], kind="stable")]
+    triples.flags.writeable = False
+    return triples
 
-    A trajectory holds its samples in one of two forms and converts on
-    demand: a list of ``(time, Point)`` pairs (:attr:`samples`, what the
-    scalar paths and incremental appends use) or one ``(n, 3)`` float64
-    ``(t, x, y)`` array (:meth:`sample_triples`, what the numpy phase-1
-    path reads).  A trajectory built by :meth:`from_array` keeps only the
-    array until something asks for :attr:`samples`.  Every load through
-    the ingest firewall and every window the streaming service closes
-    builds its database with :meth:`TrajectoryDatabase.from_columns`,
-    whose trajectories are such views (created only when asked for), so
-    the numpy path — batch or stream — never creates a
-    :class:`~repro.geometry.point.Point`.
+
+class Trajectory:
+    """A single moving object's trajectory, immutable.
+
+    The samples are one ``(n, 3)`` float64 ``(t, x, y)`` array sorted by
+    time (:meth:`sample_triples`).  Iterating a :class:`TrajectoryDatabase`
+    yields views of its rows (:meth:`from_array`), so reading a database —
+    batch or stream, numpy or scalar path — copies no sample.  The
+    ``(time, Point)`` list of :attr:`samples` is derived on first access.
 
     Attributes
     ----------
     object_id:
         Stable identifier of the moving object (e.g. a taxi id).
-    samples:
-        Chronologically sorted ``(time, Point)`` pairs.
     """
 
+    __slots__ = ("object_id", "_triples", "_samples")
+
     def __init__(
-        self, object_id: int, samples: Optional[Iterable[Tuple[float, Point]]] = None
+        self, object_id: int, samples: Iterable[Tuple[float, Point]] = ()
     ) -> None:
         self.object_id = object_id
-        #: The ``(time, Point)`` list; ``None`` while only the array exists.
-        self._samples: Optional[List[Tuple[float, Point]]] = sorted(
-            samples or (), key=lambda s: s[0]
-        )
-        #: The ``(n, 3)`` array; a cache of :attr:`_samples` when that is
-        #: set (rebuilt when the sample count changes), else the only copy.
-        self._triples: Optional[np.ndarray] = None
+        self._triples = _by_time([(t, p.x, p.y) for t, p in samples])
+        #: The ``(time, Point)`` list, derived from the array on first use.
+        self._samples: Optional[List[Tuple[float, Point]]] = None
 
     @classmethod
     def from_array(cls, object_id: int, triples: np.ndarray) -> "Trajectory":
         """Wrap an ``(n, 3)`` ``(t, x, y)`` array already sorted by time."""
         trajectory = cls.__new__(cls)
         trajectory.object_id = object_id
-        trajectory._samples = None
         trajectory._triples = triples
+        trajectory._samples = None
         return trajectory
+
+    @classmethod
+    def from_coordinates(
+        cls, object_id: int, coords: Iterable[Tuple[float, float, float]]
+    ) -> "Trajectory":
+        """Build a trajectory from ``(t, x, y)`` triples."""
+        return cls.from_array(object_id, _by_time(list(coords)))
 
     @property
     def samples(self) -> List[Tuple[float, Point]]:
@@ -121,36 +129,16 @@ class Trajectory:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trajectory):
             return NotImplemented
-        return self.object_id == other.object_id and self.samples == other.samples
+        return self.object_id == other.object_id and np.array_equal(
+            self._triples, other._triples
+        )
 
     def __repr__(self) -> str:
         return f"Trajectory(object_id={self.object_id!r}, samples={self.samples!r})"
 
-    # -- construction -------------------------------------------------------
-    def add_sample(self, t: float, point: Point) -> None:
-        """Append a sample, keeping the sequence sorted by time."""
-        samples = self._samples
-        if samples is None:
-            samples = self.samples
-        # The cached array goes stale; sample_triples() sees the new length.
-        if samples and t >= samples[-1][0]:
-            samples.append((t, point))
-        else:
-            samples.append((t, point))
-            samples.sort(key=lambda s: s[0])
-
-    @classmethod
-    def from_coordinates(
-        cls, object_id: int, coords: Iterable[Tuple[float, float, float]]
-    ) -> "Trajectory":
-        """Build a trajectory from ``(t, x, y)`` triples."""
-        samples = [(float(t), Point(float(x), float(y))) for t, x, y in coords]
-        return cls(object_id=object_id, samples=samples)
-
     # -- basic properties ---------------------------------------------------
     def __len__(self) -> int:
-        samples = self._samples
-        return len(self._triples) if samples is None else len(samples)
+        return len(self._triples)
 
     def __iter__(self) -> Iterator[Tuple[float, Point]]:
         return iter(self.samples)
@@ -160,88 +148,43 @@ class Trajectory:
 
     @property
     def start_time(self) -> float:
-        samples = self._samples
-        if samples:
-            return samples[0][0]
-        if samples is None and len(self._triples):
-            return float(self._triples[0, 0])
-        raise ValueError("empty trajectory has no start time")
+        if self.is_empty():
+            raise ValueError("empty trajectory has no start time")
+        return float(self._triples[0, 0])
 
     @property
     def end_time(self) -> float:
-        samples = self._samples
-        if samples:
-            return samples[-1][0]
-        if samples is None and len(self._triples):
-            return float(self._triples[-1, 0])
-        raise ValueError("empty trajectory has no end time")
-
-    @property
-    def lifespan(self) -> Tuple[float, float]:
-        """The closed time interval ``[t_first, t_last]`` covered by samples."""
-        return (self.start_time, self.end_time)
+        if self.is_empty():
+            raise ValueError("empty trajectory has no end time")
+        return float(self._triples[-1, 0])
 
     @property
     def duration(self) -> float:
         return self.end_time - self.start_time
 
     def timestamps(self) -> List[float]:
-        if self._samples is None:
-            return self._triples[:, 0].tolist()
-        return [t for t, _ in self._samples]
+        return self._triples[:, 0].tolist()
 
     def points(self) -> List[Point]:
         return [p for _, p in self.samples]
 
-    def sample_triples(self) -> "np.ndarray":
-        """The samples as one ``(n, 3)`` float64 ``(t, x, y)`` array.
-
-        Cached and rebuilt whenever the sample count changes, so repeated
-        vectorized snapshot extractions (the batched phase-1 path) do not
-        re-convert unchanged trajectories.
-        """
-        cached = self._triples
-        samples = self._samples
-        if cached is None or (samples is not None and len(cached) != len(samples)):
-            cached = np.asarray(
-                [(t, p.x, p.y) for t, p in samples], dtype=float
-            ).reshape(-1, 3)
-            self._triples = cached
-        return cached
+    def sample_triples(self) -> np.ndarray:
+        """The samples as one read-only ``(n, 3)`` float64 ``(t, x, y)`` array."""
+        return self._triples
 
     # -- queries ------------------------------------------------------------
     def position_at(self, t: float, max_gap: Optional[float] = None) -> Optional[Point]:
         """Location at time ``t`` using linear interpolation (virtual points)."""
         return interpolate_position(self.samples, t, max_gap=max_gap)
 
-    def length(self) -> float:
-        """Total travelled path length."""
-        total = 0.0
-        for (_, a), (_, b) in zip(self.samples, self.samples[1:]):
-            total += a.distance_to(b)
-        return total
-
-    def average_speed(self) -> float:
-        """Average speed over the lifespan; 0 for degenerate trajectories."""
-        if len(self.samples) < 2 or self.duration == 0:
-            return 0.0
-        return self.length() / self.duration
-
     def slice_time(self, t_start: float, t_end: float) -> "Trajectory":
         """Return the sub-trajectory with samples in ``[t_start, t_end]``."""
         if t_start > t_end:
             raise ValueError("t_start must not exceed t_end")
-        subset = [(t, p) for t, p in self.samples if t_start <= t <= t_end]
-        return Trajectory(object_id=self.object_id, samples=subset)
-
-    def resample(self, timestamps: Sequence[float], max_gap: Optional[float] = None) -> "Trajectory":
-        """Resample this trajectory at the given timestamps (dropping gaps)."""
-        samples = []
-        for t in timestamps:
-            p = self.position_at(t, max_gap=max_gap)
-            if p is not None:
-                samples.append((t, p))
-        return Trajectory(object_id=self.object_id, samples=samples)
+        times = self._triples[:, 0]
+        first = np.searchsorted(times, t_start, side="left")
+        stop = np.searchsorted(times, t_end, side="right")
+        return Trajectory.from_array(self.object_id, self._triples[first:stop])
 
 
 @dataclass(frozen=True)
@@ -249,15 +192,53 @@ class _SampleColumns:
     """Every sample of a database as flat columns, grouped by object.
 
     Object ``object_ids[i]`` owns rows ``first[i]:stop[i]`` of
-    :attr:`triples`, sorted by time; ``object_ids`` ascends.  A subset
-    shares :attr:`triples` and selects entries of the other three arrays,
-    so no object's rows are ever copied to restrict a database.
+    :attr:`triples`, sorted by time (an object without samples owns an
+    empty range); ``object_ids`` ascends.  ``appearance`` lists the indices
+    of the objects in the order they were first seen, the order a database
+    iterates in.
     """
 
     object_ids: np.ndarray
     first: np.ndarray
     stop: np.ndarray
     triples: np.ndarray
+    appearance: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        row_ids: np.ndarray,
+        columns: Sequence[np.ndarray],
+        ids: Optional[np.ndarray] = None,
+    ) -> "_SampleColumns":
+        """Group one sample per row by object, each stably sorted by time.
+
+        ``columns`` holds the ``t``, ``x`` and ``y`` arrays of the rows.
+        ``ids`` lists the object id of every trajectory the rows came from,
+        in order, those without rows included; the objects appear in order
+        of their first entry there, or of their first row without it.
+        """
+        order = np.lexsort((columns[0], row_ids))
+        sorted_ids = row_ids[order]
+        triples = np.empty((len(order), 3), dtype=float)
+        for index, column in enumerate(columns):
+            triples[:, index] = column[order]
+        triples.flags.writeable = False
+        if ids is None:
+            new_object = np.ones(len(order), dtype=bool)
+            new_object[1:] = sorted_ids[1:] != sorted_ids[:-1]
+            starts = np.flatnonzero(new_object)
+            object_ids = sorted_ids[starts]
+            first_seen = np.minimum.reduceat(order, starts)
+        else:
+            object_ids, first_seen = np.unique(ids, return_index=True)
+        return cls(
+            object_ids,
+            np.searchsorted(sorted_ids, object_ids, side="left"),
+            np.searchsorted(sorted_ids, object_ids, side="right"),
+            triples,
+            np.argsort(first_seen, kind="stable"),
+        )
 
 
 def _segment_searchsorted(
@@ -287,29 +268,31 @@ def _segment_searchsorted(
 class TrajectoryDatabase:
     """The moving-object database ``O_DB``.
 
-    Stores :class:`Trajectory` objects indexed by object id and provides the
-    snapshot view needed by per-timestamp clustering.
-
-    A database built by :meth:`from_columns` holds only its sample columns
-    and creates the :class:`Trajectory` objects the first time something
-    asks for them (iteration, lookup, the time domain, mutation), so
-    :meth:`positions_matrix` at explicit timestamps — the stream's window
-    close — never builds one per object.  A database built from
-    trajectories derives the columns on the first :meth:`positions_matrix`
-    call and drops them on mutation.
+    Every sample is held once, as the columns of :class:`_SampleColumns`:
+    the object ids, each object's row range and one ``(n, 3)`` ``(t, x, y)``
+    array.  Both constructors build those columns in one pass, and every
+    view reads them: :meth:`positions_matrix` and :meth:`snapshot`
+    interpolate straight from the columns, and iteration and lookup hand
+    out :class:`Trajectory` views of an object's rows (iteration in order
+    of the objects' first appearance).  A database is never modified after
+    it is built.
     """
 
-    def __init__(self, trajectories: Optional[Iterable[Trajectory]] = None) -> None:
-        #: Object id -> trajectory; ``None`` until built from :attr:`_columns`.
-        self._trajectories: Optional[Dict[int, Trajectory]] = {}
-        #: Every sample as columns; ``None`` until first needed.
-        self._columns: Optional[_SampleColumns] = None
-        #: While ``_trajectories`` is ``None``: the column indices of the
-        #: objects in insertion order, the order they will be iterated in.
-        self._order: Optional[np.ndarray] = None
-        if trajectories:
-            for traj in trajectories:
-                self.add(traj)
+    def __init__(self, trajectories: Iterable[Trajectory] = ()) -> None:
+        """Build a database from trajectories, concatenated once.
+
+        A repeated object id merges its trajectories' samples (stably
+        sorted by time), and an empty trajectory is kept as an object
+        without samples.
+        """
+        trajectories = list(trajectories)
+        ids = object_id_column([trajectory.object_id for trajectory in trajectories])
+        triples = np.concatenate(
+            [trajectory.sample_triples() for trajectory in trajectories]
+            + [np.empty((0, 3))]
+        )
+        row_ids = np.repeat(ids, [len(trajectory) for trajectory in trajectories])
+        self._columns = _SampleColumns.build(row_ids, triples.T, ids)
 
     @classmethod
     def from_columns(
@@ -317,130 +300,59 @@ class TrajectoryDatabase:
     ) -> "TrajectoryDatabase":
         """Build a database from one sample per row, without creating points.
 
-        Equivalent to calling :meth:`add_sample` row by row: objects appear
-        in order of their first row, and each object's samples are sorted by
-        time, stably (equal times keep row order).  The rows are kept as one
-        ``(n, 3)`` array; each trajectory, once asked for, is a view of its
-        slice (:meth:`Trajectory.from_array`).
+        Equivalent to the constructor over one single-sample trajectory per
+        row: objects appear in order of their first row, and each object's
+        samples are sorted by time, stably (equal times keep row order).
         """
-        if not len(object_ids):
-            return cls()
-        object_ids = np.asarray(object_ids)
-        order = np.lexsort((t, object_ids))
-        sorted_ids = object_ids[order]
-        first = np.flatnonzero(
-            np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
-        )
-        stop = np.append(first[1:], len(order))
-        triples = np.stack((t[order], x[order], y[order]), axis=1)
-        # Objects are iterated in order of their first row.
-        appearance = np.argsort(np.minimum.reduceat(order, first), kind="stable")
-        database = cls()
-        database._trajectories = None
-        database._columns = _SampleColumns(sorted_ids[first], first, stop, triples)
-        database._order = appearance
+        database = cls.__new__(cls)
+        database._columns = _SampleColumns.build(np.asarray(object_ids), (t, x, y))
         return database
-
-    # -- representations ------------------------------------------------------
-    def _objects(self) -> Dict[int, Trajectory]:
-        """The id -> trajectory dict, built from the columns on first use."""
-        if self._trajectories is None:
-            columns = self._columns
-            ids = columns.object_ids.tolist()
-            first = columns.first.tolist()
-            stop = columns.stop.tolist()
-            triples = columns.triples
-            self._trajectories = {
-                ids[i]: Trajectory.from_array(ids[i], triples[first[i] : stop[i]])
-                for i in self._order.tolist()
-            }
-            self._order = None
-        return self._trajectories
-
-    def _sample_columns(self) -> _SampleColumns:
-        """Every sample as columns, built from the trajectories on first use.
-
-        Each trajectory's cached array becomes a view of its rows, so the
-        samples are held once.
-        """
-        if self._columns is None:
-            trajectories = self._trajectories
-            ids = sorted(trajectories)
-            lengths = np.fromiter(
-                (len(trajectories[object_id]) for object_id in ids),
-                dtype=np.int64,
-                count=len(ids),
-            )
-            stop = np.cumsum(lengths)
-            first = stop - lengths
-            triples = np.empty((int(stop[-1]) if len(ids) else 0, 3), dtype=float)
-            for object_id, a, b in zip(ids, first.tolist(), stop.tolist()):
-                trajectory = trajectories[object_id]
-                triples[a:b] = trajectory.sample_triples()
-                trajectory._triples = triples[a:b]
-            self._columns = _SampleColumns(
-                np.asarray(ids, dtype=np.int64), first, stop, triples
-            )
-        return self._columns
 
     # -- container protocol --------------------------------------------------
     def __len__(self) -> int:
-        if self._trajectories is None:
-            return len(self._columns.object_ids)
-        return len(self._trajectories)
+        return len(self._columns.object_ids)
 
     def __iter__(self) -> Iterator[Trajectory]:
-        return iter(self._objects().values())
+        columns = self._columns
+        ids = columns.object_ids.tolist()
+        first = columns.first.tolist()
+        stop = columns.stop.tolist()
+        for i in columns.appearance.tolist():
+            yield Trajectory.from_array(ids[i], columns.triples[first[i] : stop[i]])
+
+    def _index(self, object_id: int) -> Optional[int]:
+        """The column index of ``object_id``, ``None`` when absent."""
+        ids = self._columns.object_ids
+        index = int(np.searchsorted(ids, object_id))
+        return index if index < len(ids) and ids[index] == object_id else None
 
     def __contains__(self, object_id: int) -> bool:
-        return object_id in self._objects()
+        return self._index(object_id) is not None
 
     def __getitem__(self, object_id: int) -> Trajectory:
-        return self._objects()[object_id]
-
-    # -- mutation -------------------------------------------------------------
-    def add(self, trajectory: Trajectory) -> None:
-        """Add a trajectory; samples are merged if the object already exists."""
-        trajectories = self._objects()
-        self._columns = None
-        existing = trajectories.get(trajectory.object_id)
-        if existing is None:
-            trajectories[trajectory.object_id] = trajectory
-        else:
-            merged = existing.samples + trajectory.samples
-            trajectories[trajectory.object_id] = Trajectory(
-                object_id=trajectory.object_id, samples=merged
-            )
-
-    def add_sample(self, object_id: int, t: float, point: Point) -> None:
-        """Append a single sample for an object, creating it if needed."""
-        trajectories = self._objects()
-        self._columns = None
-        traj = trajectories.get(object_id)
-        if traj is None:
-            trajectories[object_id] = Trajectory(object_id, [(t, point)])
-        else:
-            traj.add_sample(t, point)
-
-    def extend(self, other: "TrajectoryDatabase") -> None:
-        """Merge another database (e.g. a new batch of arrivals) into this one."""
-        for traj in other:
-            self.add(traj)
+        index = self._index(object_id)
+        if index is None:
+            raise KeyError(object_id)
+        columns = self._columns
+        return Trajectory.from_array(
+            object_id, columns.triples[columns.first[index] : columns.stop[index]]
+        )
 
     # -- views ----------------------------------------------------------------
     def object_ids(self) -> List[int]:
-        return sorted(self._objects())
+        return self._columns.object_ids.tolist()
 
     def time_domain(self) -> Tuple[float, float]:
         """The overall ``[min_t, max_t]`` across all trajectories."""
-        trajectories = self._objects()
-        if not trajectories:
+        columns = self._columns
+        sampled = columns.stop > columns.first
+        if not sampled.any():
             raise ValueError("time domain of an empty database is undefined")
-        starts = [t.start_time for t in trajectories.values() if not t.is_empty()]
-        ends = [t.end_time for t in trajectories.values() if not t.is_empty()]
-        if not starts:
-            raise ValueError("time domain of an empty database is undefined")
-        return (min(starts), max(ends))
+        times = columns.triples[:, 0]
+        return (
+            float(times[columns.first[sampled]].min()),
+            float(times[columns.stop[sampled] - 1].max()),
+        )
 
     def timestamps(self, step: float = 1.0) -> List[float]:
         """Discretised time domain ``T_DB`` with the given granularity."""
@@ -453,12 +365,35 @@ class TrajectoryDatabase:
     def snapshot(
         self, t: float, max_gap: Optional[float] = None
     ) -> Dict[int, Point]:
-        """Positions of every object observed (or interpolated) at time ``t``."""
+        """Positions of every object observed (or interpolated) at time ``t``.
+
+        The scalar reference of :meth:`positions_matrix`.  The (at most
+        two) samples of each object that bracket ``t`` are found for all
+        objects at once, and
+        :func:`~repro.geometry.interpolation.interpolate_position` answers
+        from them exactly as it would from the object's whole sample list.
+        """
+        columns = self._columns
+        triples = columns.triples
+        if not len(triples):
+            return {}
+        after = _segment_searchsorted(
+            triples[:, 0], columns.first, columns.stop, t, "left"
+        )
+        lo = np.maximum(after - 1, columns.first)
+        counts = (np.minimum(after + 1, columns.stop) - lo).tolist()
+        last = len(triples) - 1
+        before = triples[np.minimum(lo, last)].tolist()
+        at_or_after = triples[np.minimum(lo + 1, last)].tolist()
+        ids = columns.object_ids.tolist()
         positions: Dict[int, Point] = {}
-        for object_id, traj in self._objects().items():
-            p = traj.position_at(t, max_gap=max_gap)
+        for i in columns.appearance.tolist():
+            bracket = (before[i], at_or_after[i])[: counts[i]]
+            p = interpolate_position(
+                [(s, Point(x, y)) for s, x, y in bracket], t, max_gap=max_gap
+            )
             if p is not None:
-                positions[object_id] = p
+                positions[ids[i]] = p
         return positions
 
     def positions_matrix(
@@ -491,7 +426,7 @@ class TrajectoryDatabase:
             timestamps = self.timestamps(step=time_step)
         t_arr = np.asarray(list(timestamps), dtype=float)
         m = len(t_arr)
-        columns = self._sample_columns()
+        columns = self._columns
         if m == 0 or not len(columns.triples):
             return PositionArena(
                 timestamps=tuple(float(t) for t in t_arr),
@@ -601,20 +536,29 @@ class TrajectoryDatabase:
         )
 
     def slice_time(self, t_start: float, t_end: float) -> "TrajectoryDatabase":
-        """Database restricted to samples within ``[t_start, t_end]``."""
-        sliced = TrajectoryDatabase()
-        for traj in self:
-            sub = traj.slice_time(t_start, t_end)
-            if not sub.is_empty():
-                sliced.add(sub)
+        """Database restricted to samples within ``[t_start, t_end]``.
+
+        Objects left without a sample are dropped.
+        """
+        if t_start > t_end:
+            raise ValueError("t_start must not exceed t_end")
+        columns = self._columns
+        times = columns.triples[:, 0]
+        keep = (times >= t_start) & (times <= t_end)
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        first = kept_before[columns.first]
+        stop = kept_before[columns.stop]
+        sampled = stop > first
+        rank = np.cumsum(sampled) - 1
+        sliced = TrajectoryDatabase.__new__(TrajectoryDatabase)
+        sliced._columns = _SampleColumns(
+            columns.object_ids[sampled],
+            first[sampled],
+            stop[sampled],
+            columns.triples[keep],
+            rank[columns.appearance[sampled[columns.appearance]]],
+        )
         return sliced
 
-    def subset(self, object_ids: Iterable[int]) -> "TrajectoryDatabase":
-        """Database restricted to the given object ids."""
-        wanted = set(object_ids)
-        return TrajectoryDatabase(
-            traj for oid, traj in self._objects().items() if oid in wanted
-        )
-
     def total_samples(self) -> int:
-        return sum(len(traj) for traj in self._objects().values())
+        return len(self._columns.triples)

@@ -8,7 +8,7 @@ invariant.
 from repro.quality import IngestError, QualityConfig
 from repro.stream import StreamingGatheringService
 from repro.trajectory.io import load_csv_report, save_csv
-from repro.trajectory.trajectory import TrajectoryDatabase
+from repro.trajectory.trajectory import Trajectory, TrajectoryDatabase
 
 from repro.core.config import GatheringParameters
 from repro.geometry.point import Point
@@ -19,9 +19,9 @@ PARAMS = GatheringParameters(
 
 
 def _clean_csv(tmp_path, samples=6):
-    database = TrajectoryDatabase()
-    for t in range(samples):
-        database.add_sample(1, float(t), Point(float(t), 0.0))
+    database = TrajectoryDatabase(
+        [Trajectory(1, [(float(t), Point(float(t), 0.0)) for t in range(samples)])]
+    )
     path = tmp_path / "clean.csv"
     save_csv(database, path)
     return path

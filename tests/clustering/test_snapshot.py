@@ -106,23 +106,27 @@ class TestClusterDatabase:
 
 class TestBuildClusterDatabase:
     def test_stationary_groups_cluster_at_every_timestamp(self):
-        db = TrajectoryDatabase()
         # Two groups of 4 objects each, stationary, far apart.
-        for oid in range(4):
-            db.add(Trajectory.from_coordinates(oid, [(t, oid * 10.0, 0.0) for t in range(5)]))
-        for oid in range(10, 14):
-            db.add(
+        db = TrajectoryDatabase(
+            [
+                Trajectory.from_coordinates(oid, [(t, oid * 10.0, 0.0) for t in range(5)])
+                for oid in range(4)
+            ]
+            + [
                 Trajectory.from_coordinates(
                     oid, [(t, 5000.0 + (oid - 10) * 10.0, 0.0) for t in range(5)]
                 )
-            )
+                for oid in range(10, 14)
+            ]
+        )
         cdb = build_cluster_database(db, eps=50.0, min_points=3, time_step=1.0)
         assert cdb.snapshot_count() == 5
         assert all(len(cdb.clusters_at(float(t))) == 2 for t in range(5))
 
     def test_explicit_timestamps(self):
-        db = TrajectoryDatabase()
-        for oid in range(4):
-            db.add(Trajectory.from_coordinates(oid, [(t, oid * 5.0, 0.0) for t in range(10)]))
+        db = TrajectoryDatabase(
+            Trajectory.from_coordinates(oid, [(t, oid * 5.0, 0.0) for t in range(10)])
+            for oid in range(4)
+        )
         cdb = build_cluster_database(db, timestamps=[2.0, 4.0], eps=50.0, min_points=3)
         assert cdb.timestamps() == [2.0, 4.0]

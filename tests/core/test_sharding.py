@@ -68,12 +68,12 @@ def block_plan(monkeypatch, database, workers, timestamps=None):
 
 
 def tiny_database():
-    database = TrajectoryDatabase()
+    trajectories = []
     for object_id in range(3):
-        database.add(
+        trajectories.append(
             Trajectory(object_id, [(0.0, Point(0.0, 0.0)), (9.0, Point(9.0, 0.0))])
         )
-    return database
+    return TrajectoryDatabase(trajectories)
 
 
 class TestPartition:

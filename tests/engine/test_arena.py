@@ -27,16 +27,16 @@ from repro.trajectory.trajectory import Trajectory, TrajectoryDatabase
 
 
 def small_database(objects: int = 6, duration: int = 8) -> TrajectoryDatabase:
-    database = TrajectoryDatabase()
     rng = np.random.default_rng(7)
+    trajectories = []
     for object_id in range(objects):
         base = rng.uniform(0.0, 300.0, size=2)
         samples = [
             (float(t), Point(float(base[0] + 5.0 * t), float(base[1] - 3.0 * t)))
             for t in range(duration)
         ]
-        database.add(Trajectory(object_id, samples))
-    return database
+        trajectories.append(Trajectory(object_id, samples))
+    return TrajectoryDatabase(trajectories)
 
 
 class TestArenaSpool:

@@ -12,11 +12,10 @@ POSITIONS = {4: (0, 0), 1: (10, 5), 9: (3, 3), 7: (100, 100), 2: (50, 60), 8: (5
 
 
 def stationary_database(positions):
-    database = TrajectoryDatabase()
-    for oid, (x, y) in positions.items():
-        point = Point(float(x), float(y))
-        database.add(Trajectory(oid, [(3.0, point), (4.0, point)]))
-    return database
+    return TrajectoryDatabase(
+        Trajectory(oid, [(3.0, Point(float(x), float(y))), (4.0, Point(float(x), float(y)))])
+        for oid, (x, y) in positions.items()
+    )
 
 
 @pytest.fixture

@@ -17,14 +17,14 @@ from repro.trajectory.trajectory import Trajectory, TrajectoryDatabase
 
 def _random_database(seed=7, objects=25, duration=12):
     rng = np.random.default_rng(seed)
-    database = TrajectoryDatabase()
+    trajectories = []
     for object_id in range(objects):
         n = int(rng.integers(2, 2 * duration))
         times = np.sort(rng.uniform(0.0, float(duration), size=n))
         coords = rng.uniform(0.0, 500.0, size=(1, 2)) + np.cumsum(
             rng.normal(0.0, 40.0, size=(n, 2)), axis=0
         )
-        database.add(
+        trajectories.append(
             Trajectory(
                 object_id,
                 [
@@ -33,7 +33,7 @@ def _random_database(seed=7, objects=25, duration=12):
                 ],
             )
         )
-    return database
+    return TrajectoryDatabase(trajectories)
 
 
 class TestNeighborPairsBatched:
@@ -123,18 +123,38 @@ class TestPositionsMatrix:
 def _both_layouts(tracks):
     """The same samples as a trajectory-built and a column-built database.
 
-    ``tracks`` maps object id -> list of ``(t, x, y)``; the column-built
-    database holds its samples only as columns until asked for trajectories.
+    ``tracks`` maps object id -> list of ``(t, x, y)``, or lists ``(object
+    id, samples)`` pieces in which an id may repeat (its pieces merge).  The
+    trajectory-built database gets one trajectory per piece, the
+    column-built one a row per sample; both must hold the same database
+    (objects without samples exist only in the first).
     """
+    pieces = list(tracks.items()) if isinstance(tracks, dict) else list(tracks)
     built = TrajectoryDatabase(
-        Trajectory.from_coordinates(object_id, rows) for object_id, rows in tracks.items()
+        Trajectory.from_coordinates(object_id, rows) for object_id, rows in pieces
     )
-    rows = [(object_id, *row) for object_id, samples in tracks.items() for row in samples]
+    rows = [(object_id, *row) for object_id, samples in pieces for row in samples]
     columns = np.asarray([row[0] for row in rows], dtype=np.int64)
     values = np.asarray([row[1:] for row in rows], dtype=float).reshape(-1, 3)
     from_columns = TrajectoryDatabase.from_columns(
         columns, values[:, 0], values[:, 1], values[:, 2]
     )
+
+    def contents(database):
+        return [
+            (trajectory.object_id, trajectory.sample_triples().tobytes())
+            for trajectory in database
+            if len(trajectory)
+        ]
+
+    assert contents(built) == contents(from_columns)
+    assert built.total_samples() == from_columns.total_samples() == len(rows)
+    if rows:
+        assert built.time_domain() == from_columns.time_domain()
+        arenas = [database.positions_matrix() for database in (built, from_columns)]
+        assert arenas[0].timestamps == arenas[1].timestamps
+        for field in ("ts_index", "object_ids", "coords", "offsets"):
+            assert getattr(arenas[0], field).tobytes() == getattr(arenas[1], field).tobytes()
     return built, from_columns
 
 
@@ -162,12 +182,48 @@ class TestPositionsMatrixEdges:
 
     @pytest.mark.parametrize("layout", [0, 1])
     def test_empty_trajectories(self, layout):
-        tracks = {1: [], 2: [(1.0, 0.0, 0.0), (6.0, 50.0, 10.0)], 3: []}
+        tracks = {1: [], 2: [(1.0, 0.0, 0.0), (6.0, 50.0, 10.0)], 3: [], 4: []}
         database = _both_layouts(tracks)[layout]
-        if layout == 0:
-            database.add(Trajectory(4, []))
         arena = _assert_matches_snapshots(database, self.TIMESTAMPS)
         assert set(arena.object_ids.tolist()) == {2}
+
+    @pytest.mark.parametrize("layout", [0, 1])
+    def test_object_split_across_trajectories(self, layout):
+        # Object 7 arrives as two trajectories (interleaved in time, one
+        # time shared) around object 3 and two empty ones; the pieces merge
+        # stably by time, so the t=3.0 fix of the first piece comes first.
+        pieces = [
+            (7, [(2.0, 0.0, 0.0), (3.0, 5.0, 5.0), (5.0, 0.0, 8.0)]),
+            (9, []),
+            (3, [(2.0, 1.0, 1.0), (4.5, 2.0, 2.0)]),
+            (7, [(2.5, 9.0, 9.0), (3.0, 6.0, 6.0), (4.0, 7.0, 7.0)]),
+            (8, []),
+        ]
+        database = _both_layouts(pieces)[layout]
+        assert [t.object_id for t in database if len(t)] == [7, 3]
+        assert database[7].timestamps() == [2.0, 2.5, 3.0, 3.0, 4.0, 5.0]
+        assert database[7].points()[2:4] == [Point(5.0, 5.0), Point(6.0, 6.0)]
+        arena = _assert_matches_snapshots(database, self.TIMESTAMPS)
+        start, end = arena.snapshot_rows(self.TIMESTAMPS.index(3.0))
+        assert arena.object_ids[start:end].tolist() == [3, 7]
+        assert arena.coords[start + 1].tolist() == [5.0, 5.0]
+
+    def test_default_timestamps_create_no_trajectory(self, monkeypatch):
+        database = TrajectoryDatabase.from_columns(
+            np.array([1, 2, 1]),
+            np.array([0.0, 1.5, 4.0]),
+            np.array([0.0, 9.0, 4.0]),
+            np.array([0.0, 9.0, 0.0]),
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("positions_matrix built a Trajectory")
+
+        monkeypatch.setattr(Trajectory, "__init__", forbidden)
+        monkeypatch.setattr(Trajectory, "from_array", forbidden)
+        arena = database.positions_matrix()
+        assert arena.timestamps == (0.0, 1.0, 2.0, 3.0, 4.0)
+        assert arena.point_count == 5
 
     @pytest.mark.parametrize("layout", [0, 1])
     def test_single_sample_trajectories(self, layout):
@@ -289,11 +345,12 @@ class TestBatchedBuilder:
         return build_cluster_database_batched(database, eps=120.0, min_points=2)
 
     def test_empty_snapshots_are_preserved(self):
-        database = TrajectoryDatabase()
         # Two far-apart singletons: every snapshot exists, all points noise.
-        database.add(Trajectory(1, [(0.0, Point(0.0, 0.0)), (3.0, Point(0.0, 0.0))]))
-        database.add(
-            Trajectory(2, [(0.0, Point(9e5, 9e5)), (3.0, Point(9e5, 9e5))])
+        database = TrajectoryDatabase(
+            [
+                Trajectory(1, [(0.0, Point(0.0, 0.0)), (3.0, Point(0.0, 0.0))]),
+                Trajectory(2, [(0.0, Point(9e5, 9e5)), (3.0, Point(9e5, 9e5))]),
+            ]
         )
         cdb = build_cluster_database_batched(database, eps=10.0, min_points=2)
         scalar = build_cluster_database(database, eps=10.0, min_points=2, method="grid")

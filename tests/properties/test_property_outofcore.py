@@ -43,7 +43,7 @@ def trajectory_databases(draw):
     duration = draw(st.integers(min_value=4, max_value=14))
     seed = draw(st.integers(min_value=0, max_value=100_000))
     rng = np.random.default_rng(seed)
-    database = TrajectoryDatabase()
+    trajectories = []
     centres = rng.uniform(0.0, 600.0, size=(3, 2))
     for object_id in range(n_objects):
         n_samples = int(rng.integers(2, 2 * duration))
@@ -51,7 +51,7 @@ def trajectory_databases(draw):
         centre = centres[int(rng.integers(0, len(centres)))]
         walk = np.cumsum(rng.normal(0.0, 60.0, size=(n_samples, 2)), axis=0)
         coords = centre + walk
-        database.add(
+        trajectories.append(
             Trajectory(
                 object_id,
                 [
@@ -60,7 +60,7 @@ def trajectory_databases(draw):
                 ],
             )
         )
-    return database
+    return TrajectoryDatabase(trajectories)
 
 
 def _assert_cluster_dbs_identical(reference, other):

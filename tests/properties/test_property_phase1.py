@@ -48,7 +48,7 @@ def trajectory_databases(draw):
     duration = draw(st.integers(min_value=4, max_value=14))
     seed = draw(st.integers(min_value=0, max_value=100_000))
     rng = np.random.default_rng(seed)
-    database = TrajectoryDatabase()
+    trajectories = []
     # A couple of attraction centres so DBSCAN actually forms clusters.
     centres = rng.uniform(0.0, 600.0, size=(3, 2))
     for object_id in range(n_objects):
@@ -61,7 +61,7 @@ def trajectory_databases(draw):
         centre = centres[int(rng.integers(0, len(centres)))]
         walk = np.cumsum(rng.normal(0.0, 60.0, size=(n_samples, 2)), axis=0)
         coords = centre + walk
-        database.add(
+        trajectories.append(
             Trajectory(
                 object_id,
                 [
@@ -70,7 +70,7 @@ def trajectory_databases(draw):
                 ],
             )
         )
-    return database
+    return TrajectoryDatabase(trajectories)
 
 
 def _assert_cluster_dbs_identical(reference, batched):
@@ -217,7 +217,7 @@ def gappy_feeds(draw):
     duration = draw(st.integers(min_value=4, max_value=20))
     seed = draw(st.integers(min_value=0, max_value=100_000))
     rng = np.random.default_rng(seed)
-    database = TrajectoryDatabase()
+    trajectories = []
     centres = rng.uniform(0.0, 400.0, size=(2, 2))
     for object_id in range(n_objects):
         start = float(rng.integers(0, duration // 2 + 1))
@@ -226,7 +226,7 @@ def gappy_feeds(draw):
         times = np.unique(np.concatenate(([start, end], interior)))
         centre = centres[int(rng.integers(0, len(centres)))]
         walk = np.cumsum(rng.normal(0.0, 40.0, size=(len(times), 2)), axis=0)
-        database.add(
+        trajectories.append(
             Trajectory(
                 object_id,
                 [
@@ -235,7 +235,7 @@ def gappy_feeds(draw):
                 ],
             )
         )
-    return database
+    return TrajectoryDatabase(trajectories)
 
 
 def endpoint_sampled_feed():
@@ -246,12 +246,12 @@ def endpoint_sampled_feed():
     spans every phase-1 block.  A time-sharded driver that sliced
     trajectories to its shard window dropped it from the interior shards.
     """
-    database = TrajectoryDatabase()
+    trajectories = []
     for object_id in range(3):
         samples = [(float(t), Point(500.0 + 10.0 * object_id, 500.0)) for t in range(20)]
-        database.add(Trajectory(object_id, samples))
-    database.add(Trajectory(3, [(0.0, Point(500.0, 510.0)), (19.0, Point(500.0, 510.0))]))
-    return database
+        trajectories.append(Trajectory(object_id, samples))
+    trajectories.append(Trajectory(3, [(0.0, Point(500.0, 510.0)), (19.0, Point(500.0, 510.0))]))
+    return TrajectoryDatabase(trajectories)
 
 
 class TestGappyFeedParity:

@@ -46,7 +46,7 @@ from repro.quality.rules import (
     travel_distance,
 )
 from repro.resilience.faults import maybe_fault
-from repro.trajectory.trajectory import TrajectoryDatabase
+from repro.trajectory.trajectory import Trajectory, TrajectoryDatabase
 
 
 def csv_records(path: Path) -> Iterator[RawRecord]:
@@ -91,11 +91,10 @@ def csv_records(path: Path) -> Iterator[RawRecord]:
 
 
 def database_from_records(records: List[CleanRecord]) -> TrajectoryDatabase:
-    """Survivors into a database, one ``add_sample`` (and ``Point``) per record."""
-    database = TrajectoryDatabase()
-    for object_id, t, x, y in records:
-        database.add_sample(object_id, t, Point(x, y))
-    return database
+    """Survivors into a database, one single-sample trajectory per record."""
+    return TrajectoryDatabase(
+        Trajectory(object_id, [(t, Point(x, y))]) for object_id, t, x, y in records
+    )
 
 
 @dataclass

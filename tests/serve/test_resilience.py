@@ -144,7 +144,6 @@ class TestInjectedFaults:
         document = json.loads(body)
         assert document["resilience"] == {
             "dropped_connections": 0,
-            "ingest_rejected": 0,
             "locked_retries": 0,
             "request_timeouts": 0,
             "shed": 0,

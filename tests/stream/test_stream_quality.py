@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.config import GatheringParameters
 from repro.quality import IngestError, QualityConfig
-from repro.resilience.counters import ResilienceCounters
 from repro.stream import StreamingGatheringService
 
 PARAMS = GatheringParameters(
@@ -14,10 +13,8 @@ PARAMS = GatheringParameters(
 )
 
 
-def service_with(quality, counters=None):
-    return StreamingGatheringService(
-        PARAMS, window=4, quality=quality, counters=counters
-    )
+def service_with(quality):
+    return StreamingGatheringService(PARAMS, window=4, quality=quality)
 
 
 class TestRejection:
@@ -65,13 +62,6 @@ class TestPolicies:
         assert service.stats.points_rejected == 0
         assert service._pending[1][0.0].x == 100.0
         assert service._pending[1][0.0].y == 0.0
-
-    def test_counters_feed_the_stats_endpoint(self):
-        counters = ResilienceCounters()
-        service = service_with(QualityConfig(), counters=counters)
-        service.ingest((1, 0.0, float("nan"), 0.0))
-        service.ingest((1, 1.0, 0.0, 0.0))
-        assert counters.value("ingest_rejected") == 1
 
 
 class TestStatsSerialisation:

@@ -26,7 +26,7 @@ def oracle_window_close(pending, carry, window_end):
     """
     pending = {object_id: dict(samples) for object_id, samples in pending.items()}
     carry = dict(carry)
-    database = TrajectoryDatabase()
+    trajectories = []
     taken_count = 0
     for object_id, samples in pending.items():
         anchors = sorted((t, Point(fix.x, fix.y)) for t, fix in samples.items())
@@ -34,7 +34,7 @@ def oracle_window_close(pending, carry, window_end):
         if carried is not None:
             t, fix = carried
             anchors = [(t, Point(fix.x, fix.y))] + anchors
-        database.add(Trajectory(object_id, anchors))
+        trajectories.append(Trajectory(object_id, anchors))
         taken = [t for t in samples if t < window_end]
         if taken:
             last = max(taken)
@@ -43,7 +43,7 @@ def oracle_window_close(pending, carry, window_end):
                 del samples[t]
             taken_count += len(taken)
     pending = {object_id: samples for object_id, samples in pending.items() if samples}
-    return database, pending, carry, taken_count
+    return TrajectoryDatabase(trajectories), pending, carry, taken_count
 
 
 def oracle_arena(database, timestamps, max_gap=None):

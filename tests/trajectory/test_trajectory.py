@@ -23,7 +23,6 @@ class TestTrajectory:
         assert traj.start_time == 0.0
         assert traj.end_time == 4.0
         assert traj.duration == 4.0
-        assert traj.lifespan == (0.0, 4.0)
 
     def test_empty_trajectory_properties_raise(self):
         empty = Trajectory(object_id=3)
@@ -33,26 +32,10 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             _ = empty.end_time
 
-    def test_add_sample_keeps_order(self):
-        traj = Trajectory(object_id=0)
-        traj.add_sample(5.0, Point(5.0, 0.0))
-        traj.add_sample(1.0, Point(1.0, 0.0))
-        traj.add_sample(3.0, Point(3.0, 0.0))
-        assert traj.timestamps() == [1.0, 3.0, 5.0]
-
     def test_position_at_interpolates(self):
         traj = straight_line_trajectory(n=3, dx=10.0)
         assert traj.position_at(0.5) == Point(5.0, 0.0)
         assert traj.position_at(10.0) is None
-
-    def test_length_and_speed(self):
-        traj = straight_line_trajectory(n=5, dx=10.0)
-        assert traj.length() == pytest.approx(40.0)
-        assert traj.average_speed() == pytest.approx(10.0)
-
-    def test_average_speed_degenerate(self):
-        single = Trajectory.from_coordinates(0, [(0.0, 1.0, 1.0)])
-        assert single.average_speed() == 0.0
 
     def test_slice_time(self):
         traj = straight_line_trajectory(n=10)
@@ -60,12 +43,6 @@ class TestTrajectory:
         assert sliced.timestamps() == [2.0, 3.0, 4.0, 5.0]
         with pytest.raises(ValueError):
             traj.slice_time(5.0, 2.0)
-
-    def test_resample(self):
-        traj = straight_line_trajectory(n=5, dx=10.0)
-        resampled = traj.resample([0.5, 1.5, 100.0])
-        assert resampled.timestamps() == [0.5, 1.5]
-        assert resampled.points()[0] == Point(5.0, 0.0)
 
 
 class TestTrajectoryDatabase:
@@ -76,17 +53,41 @@ class TestTrajectoryDatabase:
         assert db[1].object_id == 1
 
     def test_add_merges_same_object(self):
-        db = TrajectoryDatabase()
-        db.add(Trajectory.from_coordinates(1, [(0.0, 0.0, 0.0)]))
-        db.add(Trajectory.from_coordinates(1, [(1.0, 1.0, 0.0)]))
-        assert len(db) == 1
-        assert len(db[1]) == 2
+        db = TrajectoryDatabase(
+            [
+                Trajectory.from_coordinates(1, [(1.0, 1.0, 0.0)]),
+                Trajectory.from_coordinates(2, [(0.0, 5.0, 5.0)]),
+                Trajectory.from_coordinates(1, [(0.0, 0.0, 0.0), (1.0, 2.0, 0.0)]),
+            ]
+        )
+        assert len(db) == 2
+        assert [traj.object_id for traj in db] == [1, 2]
+        # Merged samples are sorted by time, stably: the first trajectory's
+        # fix at t=1 stays ahead of the later one at the same time.
+        assert db[1].samples == [
+            (0.0, Point(0.0, 0.0)), (1.0, Point(1.0, 0.0)), (1.0, Point(2.0, 0.0))
+        ]
 
-    def test_add_sample_creates_object(self):
-        db = TrajectoryDatabase()
-        db.add_sample(7, 0.0, Point(0.0, 0.0))
-        db.add_sample(7, 1.0, Point(1.0, 0.0))
-        assert db[7].timestamps() == [0.0, 1.0]
+    def test_empty_trajectory_is_kept(self):
+        db = TrajectoryDatabase([Trajectory(4), straight_line_trajectory(object_id=2)])
+        assert len(db) == 2
+        assert db.object_ids() == [2, 4]
+        assert [traj.object_id for traj in db] == [4, 2]
+        assert db[4].is_empty()
+        assert db.total_samples() == 5
+        assert db.time_domain() == (0.0, 4.0)
+
+    def test_missing_object_raises_key_error(self):
+        db = TrajectoryDatabase([straight_line_trajectory(object_id=1)])
+        assert 3 not in db
+        with pytest.raises(KeyError):
+            db[3]
+
+    def test_samples_are_read_only(self):
+        db = TrajectoryDatabase([straight_line_trajectory(object_id=1)])
+        for traj in (db[1], straight_line_trajectory(), Trajectory(1, [(0.0, Point(0, 0))])):
+            with pytest.raises(ValueError):
+                traj.sample_triples()[0, 1] = 99.0
 
     def test_time_domain_and_timestamps(self):
         db = TrajectoryDatabase(
@@ -121,24 +122,20 @@ class TestTrajectoryDatabase:
         assert 1 not in late  # object 1 ends at t=2
         assert 0 in late
 
-    def test_slice_time_and_subset(self):
+    def test_slice_time(self):
         db = TrajectoryDatabase(
-            [straight_line_trajectory(object_id=i, n=6) for i in range(3)]
+            [straight_line_trajectory(object_id=i, n=6) for i in (2, 0, 1)]
+            + [Trajectory.from_coordinates(5, [(4.0, 0.0, 0.0)])]
         )
         sliced = db.slice_time(1.0, 2.0)
+        # Objects without a sample in the window are dropped; the others
+        # keep their order of first appearance.
+        assert [traj.object_id for traj in sliced] == [2, 0, 1]
         assert all(traj.timestamps() == [1.0, 2.0] for traj in sliced)
-        subset = db.subset([0, 2])
-        assert sorted(subset.object_ids()) == [0, 2]
-
-    def test_extend_merges_databases(self):
-        first = TrajectoryDatabase([straight_line_trajectory(object_id=0, n=3)])
-        second = TrajectoryDatabase(
-            [Trajectory.from_coordinates(0, [(5.0, 50.0, 0.0)]),
-             straight_line_trajectory(object_id=1, n=2)]
-        )
-        first.extend(second)
-        assert len(first) == 2
-        assert first[0].end_time == 5.0
+        assert sliced[1].points() == [Point(10.0, 0.0), Point(20.0, 0.0)]
+        assert sliced.total_samples() == 6
+        with pytest.raises(ValueError):
+            db.slice_time(2.0, 1.0)
 
     def test_total_samples(self):
         db = TrajectoryDatabase(
